@@ -243,21 +243,25 @@ def decomposition_bound(spec: DecomposableSpec, l: int) -> float:
 # -- smoothing estimates ------------------------------------------------
 
 
+def smoothing_constants(V: float, vstar: float) -> tuple[float, float]:
+    """(c1, c2) = (2/sqrt(V), 8/(V - 2 vstar)) for total step overlap V and
+    largest single overlap vstar; a nonpositive denominator gives +inf (a
+    legal, useless bound)."""
+    c1 = 2.0 / math.sqrt(V) if V > 0 else math.inf
+    den = max(V - 2.0 * vstar, 0.0)
+    c2 = 8.0 / den if den > 0 else math.inf
+    return c1, c2
+
+
 def smoothing_bounds(v_list) -> tuple[float, float]:
     """Smoothness of a sum of independent summands from their step overlaps.
 
-    Returns (first-order, second-order) bounds; division by a nonpositive
-    denominator gives +inf (a legal, useless bound).
+    Returns the (first-order, second-order) smoothing_constants.
     """
     v = list(v_list)
     if any(not 0.0 <= x <= 0.5 for x in v):
         raise ValueError("overlaps must lie in [0, 1/2]")
-    V = sum(v)
-    vstar = max(v) if v else 0.0
-    d1 = 2.0 / math.sqrt(V) if V > 0 else math.inf
-    den = max(V - 2.0 * vstar, 0.0)
-    d2 = 8.0 / den if den > 0 else math.inf
-    return d1, d2
+    return smoothing_constants(sum(v), max(v) if v else 0.0)
 
 
 def smoothing_split(V1: float, V2: float) -> float:
@@ -279,9 +283,7 @@ def smoothing_conditional(per_z) -> tuple[float, float]:
     d1 = 0.0
     d2 = 0.0
     for w, V, vstar in rows:
-        b1 = 2.0 / math.sqrt(V) if V > 0 else math.inf
-        den = max(V - 2.0 * vstar, 0.0)
-        b2 = 8.0 / den if den > 0 else math.inf
+        b1, b2 = smoothing_constants(V, vstar)
         d1 += w * b1
         d2 += w * b2
     return d1, d2

@@ -13,16 +13,15 @@ Exit codes: 0 success, 1 usage/config error, 2 inapplicable configuration
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+import traceback
 
 from . import bounds as _bounds
 from . import matern as _matern
 from . import oracle as _oracle
 from . import rscan as _rscan
-from .binomial import BinomialParams, binomial_pmf
-from .engine import filter_floor, fit_rate
-from .lattice import make_pmf, tv_distance, loc_distance
+from .engine import Inapplicable, filter_floor, fit_rate
+from .lattice import make_pmf
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,10 +29,6 @@ EXIT_INAPPLICABLE = 2
 EXIT_INTERNAL = 3
 
 CSV_SCHEMA_VERSION = 1
-
-
-class Inapplicable(Exception):
-    """Valid input whose preconditions (variance > 1 etc.) fail."""
 
 
 def _emit(lines, out_path):
@@ -131,48 +126,33 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
-_RSCAN_COLS = ["n", "r", "a", "dist", "reps", "seed", "sigma2",
-               "bound_l1", "bound_l2", "emp_tv", "emp_tv_lo", "emp_tv_hi",
-               "emp_loc", "emp_loc_lo", "emp_loc_hi", "tv_floor",
-               "loc_floor", "wall_time"]
-
-
-def _result_line(row: dict, cols) -> str:
-    return ",".join(_fmt(row.get(c, "")) for c in cols)
-
-
-def cmd_rscan(args) -> int:
-    cfg = _rscan.RScanConfig(n=args.n, r=args.r, a=args.a,
-                             base_dist=args.dist)
-    if _rscan.variance_formula(cfg) <= 1.0:
-        raise Inapplicable("variance <= 1")
-    res = _rscan.empirical_distance(cfg, args.reps, args.seed)
-    lines = _header(res.config_echo | {"reps": args.reps, "seed": args.seed})
-    lines.append(",".join(_RSCAN_COLS))
-    lines.append(_result_line(res.csv_row(), _RSCAN_COLS))
-    _emit(lines, args.out)
-    return EXIT_OK
-
-
-_MATERN_COLS = ["d", "lam", "r", "a", "reps", "seed", "sigma2",
-                "bound_l1", "bound_l2", "emp_tv", "emp_tv_lo", "emp_tv_hi",
-                "emp_loc", "emp_loc_lo", "emp_loc_hi", "tv_floor",
-                "loc_floor", "wall_time"]
-
-
-def cmd_matern(args) -> int:
-    if args.r is not None:
-        cfg = _matern.MaternConfig(d=args.d, lam=args.lam, r=args.r)
+def _experiment(app: str, args, scale):
+    """One Monte Carlo experiment of app at scale (n or lam)."""
+    if app == "rscan":
+        cfg = _rscan.RScanConfig(n=int(scale), r=args.r, a=args.a,
+                                 base_dist=args.dist)
+        return _rscan.empirical_distance(cfg, args.reps, args.seed)
+    if args.subcommand == "matern" and args.r is not None:
+        cfg = _matern.MaternConfig(d=args.d, lam=scale, r=args.r)
     else:
-        cfg = _matern.MaternConfig.from_intensity_product(args.d, args.lam,
+        cfg = _matern.MaternConfig.from_intensity_product(args.d, float(scale),
                                                           args.a)
-    sigma2, _ = _matern.variance_total(cfg)
-    if sigma2 <= 1.0:
-        raise Inapplicable("variance <= 1")
-    res = _matern.empirical_distance(cfg, args.reps, args.seed)
+    return _matern.empirical_distance(cfg, args.reps, args.seed)
+
+
+def _result_lines(results) -> list[str]:
+    """Column line and one row per result; the app is in the header."""
+    rows = [res.csv_row() for res in results]
+    cols = [c for c in rows[0] if c != "app"]
+    return [",".join(cols)] + [",".join(_fmt(row[c]) for c in cols)
+                               for row in rows]
+
+
+def cmd_experiment(args) -> int:
+    scale = args.n if args.subcommand == "rscan" else args.lam
+    res = _experiment(args.subcommand, args, scale)
     lines = _header(res.config_echo | {"reps": args.reps, "seed": args.seed})
-    lines.append(",".join(_MATERN_COLS))
-    lines.append(_result_line(res.csv_row(), _MATERN_COLS))
+    lines += _result_lines([res])
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -181,20 +161,7 @@ def cmd_rates(args) -> int:
     scales = args.scales
     if len(scales) < 3:
         raise argparse.ArgumentTypeError("need at least 3 scales")
-    results = []
-    for scale in scales:
-        if args.app == "rscan":
-            cfg = _rscan.RScanConfig(n=int(scale), r=args.r, a=args.a,
-                                     base_dist=args.dist)
-            res = _rscan.empirical_distance(cfg, args.reps, args.seed)
-            cols = _RSCAN_COLS
-        else:
-            cfg = _matern.MaternConfig.from_intensity_product(args.d,
-                                                              float(scale),
-                                                              args.a)
-            res = _matern.empirical_distance(cfg, args.reps, args.seed)
-            cols = _MATERN_COLS
-        results.append(res)
+    results = [_experiment(args.app, args, scale) for scale in scales]
     key = "tv" if args.metric == "tv" else "loc"
     points = [(float(s), getattr(r, key)) for s, r in zip(scales, results)]
     floors = [r.tv_floor if key == "tv" else r.loc_floor for r in results]
@@ -202,9 +169,7 @@ def cmd_rates(args) -> int:
     lines = _header({"subcommand": "rates", "app": args.app,
                      "metric": args.metric, "scales": ";".join(map(str, scales)),
                      "reps": args.reps, "seed": args.seed})
-    lines.append(",".join(cols))
-    for res in results:
-        lines.append(_result_line(res.csv_row(), cols))
+    lines += _result_lines(results)
     if len(kept) >= 3:
         fit = fit_rate(kept)
         lines.append(f"# slope={fit.slope!r} slope_lo={fit.slope_ci[0]!r} "
@@ -244,9 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exponential")
     p.add_argument("--reps", type=int, default=10 ** 5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--metric", choices=["tv", "loc"], default="tv")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_rscan)
+    p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("matern", help="hard-core point count experiment")
     p.add_argument("--d", type=int, required=True)
@@ -256,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--a", type=float, default=None)
     p.add_argument("--reps", type=int, default=10 ** 5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--metric", choices=["tv", "loc"], default="tv")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_matern)
+    p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("rates", help="distance-vs-scale sweep with slope fit")
     p.add_argument("--app", choices=["rscan", "matern"], required=True)
@@ -290,8 +253,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal failure: {exc}", file=sys.stderr)
+        print(traceback.format_exc(), file=sys.stderr, end="")
         return EXIT_INTERNAL
 
 

@@ -1,10 +1,12 @@
 """Seeded experiment orchestration: empirical distances with error bars.
 
-The engine turns a sampler into an empirical pmf, measures both distances
-to the matched centered binomial, bootstraps confidence intervals, and
-reports the analytic sampling-noise floor alongside every estimate (an
-empirical distance to a fixed law is biased upward by roughly that floor,
-so dominance checks must budget for it explicitly).
+The engine draws seeded samples in fixed-size chunks, turns them into an
+empirical pmf, measures both distances to the matched centered binomial,
+bootstraps confidence intervals, and reports the analytic sampling-noise
+floor alongside every estimate (an empirical distance to a fixed law is
+biased upward by roughly that floor, so dominance checks must budget for
+it explicitly).  An application supplies only its count simulator, its
+exact mean and variance, and its assembled bound.
 """
 
 from __future__ import annotations
@@ -21,6 +23,34 @@ from .binomial import CenteringParams, centering_params, centered_binomial
 BOOTSTRAP_RESAMPLES = 200
 # Rate fits drop points whose distance is within this factor of the floor.
 FLOOR_DROP_FACTOR = 3.0
+# Base draws per simulator chunk.  The size is fixed (not derived from the
+# worker count) so results are bit-identical however chunks are scheduled.
+CHUNK_DRAWS = 2 * 10 ** 7
+
+
+class Inapplicable(ValueError):
+    """Valid input whose preconditions (variance > 1 etc.) fail."""
+
+
+def sample_chunked(chunk_sampler, reps: int, seed: int,
+                   draws_per_rep: float) -> np.ndarray:
+    """reps draws, deterministic in seed, made in chunks of at most
+    CHUNK_DRAWS base draws.
+
+    chunk_sampler(m, seed_seq) returns m draws; chunk k gets the k-th child
+    of SeedSequence(seed).  draws_per_rep=math.inf gives one rep per chunk.
+    """
+    if reps < 1:
+        raise ValueError("need reps >= 1")
+    chunk_reps = max(1, int(CHUNK_DRAWS / max(draws_per_rep, 1.0)))
+    root = np.random.SeedSequence(entropy=seed)
+    out = []
+    done = 0
+    for child in root.spawn(-(-reps // chunk_reps)):
+        m = min(chunk_reps, reps - done)
+        out.append(chunk_sampler(m, child))
+        done += m
+    return np.concatenate(out)
 
 
 def noise_floor(reference: LatticePMF, reps: int) -> tuple[float, float]:
@@ -71,7 +101,7 @@ def run_experiment(sampler, cfg, reps: int, seed: int,
     Z + anchor and be deterministic in (cfg, reps, seed).
     """
     if sigma2 <= 1.0:
-        raise ValueError(f"need sigma2 > 1, got {sigma2}")
+        raise Inapplicable(f"need sigma2 > 1, got {sigma2}")
     t0 = time.perf_counter()
     samples = np.asarray(sampler(cfg, reps, seed), dtype=float)
     emp = empirical_pmf(samples, anchor)
@@ -90,6 +120,26 @@ def run_experiment(sampler, cfg, reps: int, seed: int,
         tv_floor=tvf, loc_floor=locf,
         bound_l1=bound_l1, bound_l2=bound_l2,
         wall_time=time.perf_counter() - t0)
+
+
+def count_experiment(simulate, cfg, echo: dict, reps: int, seed: int,
+                     mean: float, sigma2: float,
+                     error_bound) -> ExperimentResult:
+    """Distance of the centered count simulate(cfg, reps, seed) - mean to
+    its matched centered binomial, with the assembled bounds
+    error_bound(cfg, l) for l = 1, 2 (nan where a bound does not apply)."""
+    bounds = []
+    for l in (1, 2):
+        try:
+            bounds.append(error_bound(cfg, l))
+        except ValueError:
+            bounds.append(math.nan)
+
+    def sampler(_cfg, m, s):
+        return simulate(cfg, m, s) - mean
+
+    return run_experiment(sampler, echo, reps, seed, sigma2, (-mean) % 1.0,
+                          bound_l1=bounds[0], bound_l2=bounds[1])
 
 
 def _bootstrap(emp: LatticePMF, ref: LatticePMF, reps: int, seed: int):

@@ -2,15 +2,15 @@
 
 A lattice here is always Z + offset for some offset in [0, 1); atom k of a
 pmf sits at ``min_index + k + offset``.  All distances, smoothness
-functionals and convolutions in the package are expressed through the two
-types in this module.
+functionals and convolutions in the package are expressed through the
+``LatticePMF`` type in this module.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,27 +97,6 @@ class LatticePMF:
         return LatticePMF(off, self.min_index + base, self.probs)
 
 
-@dataclass(frozen=True)
-class SignedLatticeMeasure:
-    """Same shape as LatticePMF but signed and not normalized."""
-
-    offset: float
-    min_index: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("values must be a nonempty 1-D array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("measure values must be finite")
-        v.flags.writeable = False
-
-    def variation_norm(self) -> float:
-        return float(np.abs(self.values).sum())
-
-
 def make_pmf(probs, min_index: int = 0, offset: float = 0.0,
              renormalize: bool = False) -> LatticePMF:
     """Build a LatticePMF, trimming zero tails and normalizing the offset."""
@@ -199,22 +178,16 @@ def convolve_all(pmfs: list[LatticePMF], support_cap: int | None = None) -> Latt
     return out
 
 
-def difference_convolution(p: LatticePMF, l: int) -> SignedLatticeMeasure:
-    """Convolve with the l-th difference kernel (unit-step minus identity)."""
-    if l not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {l}")
-    kernel = np.array([1.0, -1.0]) if l == 1 else np.array([1.0, -2.0, 1.0])
-    vals = np.convolve(p.probs, kernel)
-    return SignedLatticeMeasure(p.offset, p.min_index, vals)
-
-
 def smoothness_functional(p: LatticePMF, l: int) -> float:
     """Variation norm of the l-th discrete difference of the pmf.
 
     Order 1 lies in (0, 2] and is small when the pmf is flat across the
     lattice; order 2 lies in (0, 4].
     """
-    return difference_convolution(p, l).variation_norm()
+    if l not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {l}")
+    kernel = np.array([1.0, -1.0]) if l == 1 else np.array([1.0, -2.0, 1.0])
+    return float(np.abs(np.convolve(p.probs, kernel)).sum())
 
 
 def empirical_pmf(samples, anchor: float) -> LatticePMF:

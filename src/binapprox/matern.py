@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import count_experiment, sample_chunked
+
 MAX_EXACT_DIM = 3
 QUAD_NODES = 64
 
@@ -41,20 +43,6 @@ class MaternConfig:
         return cls(d=d, lam=lam, r=(a / lam) ** (1.0 / d))
 
 
-@dataclass(frozen=True)
-class PointPattern:
-    points: np.ndarray      # shape (k, d), coordinates in [0,1)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, self.points.shape[-1] if np.ndim(self.points) == 2 else 1)
-        object.__setattr__(self, "points", pts)
-        if pts.size and (pts.min() < 0.0 or pts.max() >= 1.0):
-            raise ValueError("coordinates must lie in [0,1)")
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 def _torus_delta(x: np.ndarray) -> np.ndarray:
     """Coordinate-wise torus distance from signed differences."""
     y = np.abs(x)
@@ -74,12 +62,12 @@ def thin_pattern(points: np.ndarray, r: float) -> np.ndarray:
     return pts[keep]
 
 
-def simulate_pattern(cfg: MaternConfig, seed) -> PointPattern:
-    """One realization of the thinned process."""
+def simulate_pattern(cfg: MaternConfig, seed) -> np.ndarray:
+    """One realization of the thinned process: retained points, shape (k, d)."""
     rng = np.random.default_rng(seed)
     tau = rng.poisson(cfg.lam)
     pts = rng.random((tau, cfg.d))
-    return PointPattern(thin_pattern(pts, cfg.r))
+    return thin_pattern(pts, cfg.r)
 
 
 def _counts_chunk_1d(cfg: MaternConfig, reps: int, seed_seq) -> np.ndarray:
@@ -114,31 +102,15 @@ def _counts_chunk_1d(cfg: MaternConfig, reps: int, seed_seq) -> np.ndarray:
     return np.bincount(rid[keep], minlength=reps).astype(np.int64)
 
 
-CHUNK_POINTS = 2 * 10 ** 7
-
-
 def simulate_counts(cfg: MaternConfig, reps: int, seed: int) -> np.ndarray:
     """reps independent retained-point counts, deterministic in seed."""
-    if reps < 1:
-        raise ValueError("need reps >= 1")
-    root = np.random.SeedSequence(entropy=seed)
     if cfg.d == 1:
-        chunk_reps = max(1, int(CHUNK_POINTS / max(cfg.lam, 1.0)))
-        out = []
-        done = 0
-        children = root.spawn(-(-reps // chunk_reps))
-        for child in children:
-            m = min(chunk_reps, reps - done)
-            out.append(_counts_chunk_1d(cfg, m, child))
-            done += m
-        return np.concatenate(out)
-    counts = np.empty(reps, dtype=np.int64)
-    for i, child in enumerate(root.spawn(reps)):
-        rng = np.random.default_rng(child)
-        tau = rng.poisson(cfg.lam)
-        pts = rng.random((tau, cfg.d))
-        counts[i] = thin_pattern(pts, cfg.r).shape[0]
-    return counts
+        return sample_chunked(lambda m, child: _counts_chunk_1d(cfg, m, child),
+                              reps, seed, cfg.lam)
+    return sample_chunked(
+        lambda m, child: np.array([len(simulate_pattern(cfg, child))],
+                                  dtype=np.int64),
+        reps, seed, math.inf)
 
 
 def mean_total(cfg: MaternConfig) -> float:
@@ -177,7 +149,7 @@ def _second_moment_integral(cfg: MaternConfig) -> float:
     return cube_integral(r) - cube_integral(r / 2.0)
 
 
-def variance_total(cfg: MaternConfig, mc_error: bool = False) -> tuple[float, float]:
+def variance_total(cfg: MaternConfig) -> tuple[float, float]:
     """(exact variance, closed-form lower bound) of the retained count.
 
     Exact value via the pair-correlation integral; the lower bound is
@@ -219,22 +191,8 @@ def error_bound(cfg: MaternConfig, l: int) -> float:
 def empirical_distance(cfg: MaternConfig, reps: int, seed: int):
     """Monte Carlo distance of the centered retained count to its matched
     centered binomial, with bootstrap error bars and the assembled bounds."""
-    from .engine import run_experiment
-
-    mu = mean_total(cfg)
-    sigma2, _ = variance_total(cfg)
-    anchor = (-mu) % 1.0
-
-    def sampler(_cfg, m, s):
-        return simulate_counts(cfg, m, s) - mu
-
-    bounds = {}
-    for l in (1, 2):
-        try:
-            bounds[l] = error_bound(cfg, l)
-        except ValueError:
-            bounds[l] = math.nan
     echo = {"app": "matern", "d": cfg.d, "lam": cfg.lam, "r": cfg.r,
             "a": cfg.a}
-    return run_experiment(sampler, echo, reps, seed, sigma2, anchor,
-                          bound_l1=bounds[1], bound_l2=bounds[2])
+    return count_experiment(simulate_counts, cfg, echo, reps, seed,
+                            mean_total(cfg), variance_total(cfg)[0],
+                            error_bound)

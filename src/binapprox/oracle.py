@@ -18,7 +18,7 @@ from .lattice import LatticePMF, convolve_all, counts_pmf, loc_distance, \
     smoothness_functional, tv_distance
 from .binomial import CenteringParams, centering_params, centered_binomial
 from .bounds import DependenceTerm, LocalDependenceSpec, DecompositionTerm, \
-    DecomposableSpec
+    DecomposableSpec, smoothing_constants
 
 SUPPORT_CAP = 10 ** 6
 
@@ -156,11 +156,7 @@ def two_runs_smoothness(model: TwoRunsModel) -> tuple[float, float]:
     kept = m - 3
     if kept <= 0 or v_min <= 0.0:
         return math.inf, math.inf
-    V = kept * v_min
-    c1 = 2.0 / math.sqrt(V)
-    den = V - 2.0 * min(v_max, 0.5)
-    c2 = 8.0 / den if den > 0 else math.inf
-    return c1, c2
+    return smoothing_constants(kept * v_min, min(v_max, 0.5))
 
 
 def two_runs_dependence_spec(model: TwoRunsModel) -> LocalDependenceSpec:

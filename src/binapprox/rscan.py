@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
+
+from .engine import count_experiment, sample_chunked
 
 BASE_DISTS = ("exponential", "uniform01")
 
@@ -128,26 +130,10 @@ def _simulate_chunk(cfg: RScanConfig, reps: int, seed_seq) -> np.ndarray:
     return (w <= np.float32(cfg.a)).sum(axis=1).astype(np.int64)
 
 
-# Chunk size is fixed (not derived from worker count) so results are
-# bit-identical no matter how the chunks are scheduled.
-CHUNK_TARGET = 2 * 10 ** 7
-
-
 def simulate_counts(cfg: RScanConfig, reps: int, seed: int) -> np.ndarray:
     """reps independent draws of the exceedance count, deterministic in seed."""
-    if reps < 1:
-        raise ValueError("need reps >= 1")
-    cols = cfg.n + cfg.r - 1
-    chunk_reps = max(1, CHUNK_TARGET // cols)
-    root = np.random.SeedSequence(entropy=seed)
-    out = []
-    done = 0
-    children = root.spawn(-(-reps // chunk_reps))
-    for child in children:
-        m = min(chunk_reps, reps - done)
-        out.append(_simulate_chunk(cfg, m, child))
-        done += m
-    return np.concatenate(out)
+    return sample_chunked(lambda m, child: _simulate_chunk(cfg, m, child),
+                          reps, seed, cfg.n + cfg.r - 1)
 
 
 def _event_probs(cfg: RScanConfig) -> tuple[float, float]:
@@ -201,22 +187,8 @@ def error_bound(cfg: RScanConfig, l: int) -> float:
 def empirical_distance(cfg: RScanConfig, reps: int, seed: int):
     """Monte Carlo distance of the centered exceedance count to its matched
     centered binomial, with bootstrap error bars and the assembled bounds."""
-    from .engine import run_experiment
-
-    np_mean = cfg.n * exceedance_prob(cfg)
-    sigma2 = variance_formula(cfg)
-    anchor = (-np_mean) % 1.0
-
-    def sampler(_cfg, m, s):
-        return simulate_counts(cfg, m, s) - np_mean
-
-    bounds = {}
-    for l in (1, 2):
-        try:
-            bounds[l] = error_bound(cfg, l)
-        except ValueError:
-            bounds[l] = math.nan
     echo = {"app": "rscan", "n": cfg.n, "r": cfg.r, "a": cfg.a,
             "dist": cfg.base_dist}
-    return run_experiment(sampler, echo, reps, seed, sigma2, anchor,
-                          bound_l1=bounds[1], bound_l2=bounds[2])
+    return count_experiment(simulate_counts, cfg, echo, reps, seed,
+                            cfg.n * exceedance_prob(cfg),
+                            variance_formula(cfg), error_bound)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from binapprox.cli import (EXIT_INAPPLICABLE, EXIT_OK, EXIT_USAGE, main)
+from binapprox import cli
+from binapprox.cli import (EXIT_INAPPLICABLE, EXIT_INTERNAL, EXIT_OK,
+                          EXIT_USAGE, main)
 
 
 def read_rows(path):
@@ -102,6 +104,13 @@ class TestExperimentCommands:
         assert len(rows) == 3
         assert any("slope=" in c for c in comments)
 
+    def test_small_variance_inapplicable(self):
+        assert main(["rscan", "--n", "10", "--r", "2", "--a", "0.05",
+                     "--reps", "100"]) == EXIT_INAPPLICABLE
+        assert main(["rates", "--app", "rscan", "--scales", "10", "11", "12",
+                     "--r", "2", "--a", "0.05",
+                     "--reps", "100"]) == EXIT_INAPPLICABLE
+
     def test_rates_needs_three_scales(self):
         assert main(["rates", "--app", "rscan", "--scales", "100", "200",
                      "--reps", "100"]) == EXIT_USAGE
@@ -113,3 +122,19 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self):
         assert main(["rscan", "--n", "100"]) == EXIT_USAGE
+
+    def test_metric_only_on_rates(self):
+        assert main(["rscan", "--n", "100", "--r", "2", "--a", "1.0",
+                     "--metric", "tv"]) == EXIT_USAGE
+
+
+def test_internal_failure_prints_traceback(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_exact", boom)
+    assert main(["exact", "two-runs", "--n", "30", "--p", "0.5"]) \
+        == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal failure: boom" in err
+    assert "Traceback" in err and "RuntimeError: boom" in err

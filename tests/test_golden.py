@@ -1,0 +1,90 @@
+"""Fixed-seed CLI output, pinned byte for byte.
+
+Each case runs ``binapprox.cli.main`` on a small configuration and compares
+its output, with the ``wall_time`` column removed, to the fixture of the
+same name under ``tests/golden/``.  The Monte Carlo cases shrink the
+simulator chunk so that a run spans several chunks: with SMALL_CHUNK draws
+per chunk, r-scan n=100, r=2 draws 700 reps per chunk and Matern 1-d
+lam=200 draws 353.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from binapprox import bounds, cli, engine, oracle
+
+GOLDEN = Path(__file__).parent / "golden"
+SMALL_CHUNK = 70700
+
+CASES = {
+    "rscan": ["rscan", "--n", "100", "--r", "2", "--a", "1.0",
+              "--reps", "2000", "--seed", "3"],
+    "rscan_uniform": ["rscan", "--n", "60", "--r", "3", "--a", "1.5",
+                      "--dist", "uniform01", "--reps", "3000", "--seed", "4"],
+    "matern_1d": ["matern", "--d", "1", "--lam", "200", "--a", "1.0",
+                  "--reps", "2000", "--seed", "3"],
+    "matern_2d": ["matern", "--d", "2", "--lam", "100", "--r", "0.1",
+                  "--reps", "20", "--seed", "3"],
+    "rates_rscan": ["rates", "--app", "rscan", "--scales", "100", "200",
+                    "400", "--reps", "2000", "--seed", "3"],
+    "rates_matern": ["rates", "--app", "matern", "--scales", "200", "400",
+                     "800", "--reps", "1500", "--seed", "5",
+                     "--metric", "loc"],
+    "exact_two_runs": ["exact", "two-runs", "--n", "60", "--p", "0.4"],
+    "exact_poisson_binomial": ["exact", "poisson-binomial", "--n", "40",
+                               "--p", "0.3"],
+    "bound_decomposable": ["bound", "spec.json"],
+}
+
+RSCAN_COLS = ["n", "r", "a", "dist", "reps", "seed", "sigma2", "bound_l1",
+              "bound_l2", "emp_tv", "emp_tv_lo", "emp_tv_hi", "emp_loc",
+              "emp_loc_lo", "emp_loc_hi", "tv_floor", "loc_floor",
+              "wall_time"]
+MATERN_COLS = ["d", "lam", "r", "a"] + RSCAN_COLS[4:]
+
+
+def drop_wall_time(text: str) -> str:
+    """The CSV text without its wall_time column, if it has one."""
+    lines = text.splitlines(keepends=True)
+    data = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
+    names = lines[data[0]].rstrip("\n").split(",")
+    if "wall_time" not in names:
+        return text
+    k = names.index("wall_time")
+    for i in data:
+        fields = lines[i].rstrip("\n").split(",")
+        del fields[k]
+        lines[i] = ",".join(fields) + "\n"
+    return "".join(lines)
+
+
+def run_case(name: str, workdir: Path) -> str:
+    """Run one case in workdir and return its output without wall_time."""
+    if name == "bound_decomposable":
+        model = oracle.TwoRunsModel(60, 0.4)
+        spec = oracle.two_runs_decomposable_spec(model)
+        (workdir / "spec.json").write_text(bounds.spec_to_json(spec))
+    out = workdir / f"{name}.csv"
+    assert cli.main(CASES[name] + ["--out", str(out)]) == cli.EXIT_OK
+    return drop_wall_time(out.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_output_matches_fixture(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK_DRAWS", SMALL_CHUNK)
+    monkeypatch.chdir(tmp_path)
+    expected = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+    assert run_case(name, tmp_path) == expected
+
+
+@pytest.mark.parametrize("name,cols", [("rscan", RSCAN_COLS),
+                                       ("matern_1d", MATERN_COLS),
+                                       ("rates_matern", MATERN_COLS)])
+def test_experiment_columns(name, cols, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.csv"
+    assert cli.main(CASES[name] + ["--out", str(out)]) == cli.EXIT_OK
+    header = [ln for ln in out.read_text().splitlines()
+              if not ln.startswith("#")][0]
+    assert header.split(",") == cols

@@ -72,7 +72,7 @@ class TestThinPattern:
     def test_hard_core_property(self):
         cfg = MaternConfig(d=2, lam=200.0, r=0.05)
         for seed in range(5):
-            pts = simulate_pattern(cfg, seed).points
+            pts = simulate_pattern(cfg, seed)
             if pts.shape[0] < 2:
                 continue
             diff = pts[:, None, :] - pts[None, :, :]
