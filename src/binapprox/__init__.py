@@ -13,9 +13,9 @@ from .lattice import (LatticePMF, LatticeMismatchError, OffLatticeSampleError,
 from .binomial import (BinomialParams, CenteringParams, binomial_pmf,
                        centering_params, centered_binomial, stein_solution,
                        stein_residual, ehm_bound, sup_norm_bound, shift_bound)
-from .bounds import (IndependentSummandSpec, LocalDependenceSpec,
-                     DependenceTerm, PointProcessSpec, PointTerm,
-                     DecomposableSpec, DecompositionTerm, rho,
+from .bounds import (BoundReport, bound_report, IndependentSummandSpec,
+                     LocalDependenceSpec, DependenceTerm, PointProcessSpec,
+                     PointTerm, DecomposableSpec, DecompositionTerm, rho,
                      leave_one_out_smoothness, independent_sum_bound,
                      independent_sum_approximant, integer_sum_bound,
                      local_dependence_bound, point_process_bound,

@@ -65,9 +65,18 @@ class CenteringParams:
         return 0.5 - self.t
 
 
-def centering_params(sigma2: float, a: float) -> CenteringParams:
+class Inapplicable(ValueError):
+    """Valid input whose preconditions (variance > 1 etc.) fail."""
+
+
+def check_variance(sigma2: float) -> None:
+    """Every centered-binomial approximation needs variance > 1."""
     if sigma2 <= 1.0:
-        raise ValueError(f"variance must exceed 1, got {sigma2}")
+        raise Inapplicable(f"variance must exceed 1, got {sigma2}")
+
+
+def centering_params(sigma2: float, a: float) -> CenteringParams:
+    check_variance(sigma2)
     delta = _frac(-4.0 * sigma2)
     n = int(round(4.0 * sigma2 + delta))
     t = _frac(a + 2.0 * sigma2 + delta / 2.0) / (4.0 * sigma2 + delta)
@@ -96,7 +105,7 @@ def stein_solution(params: BinomialParams, target_set) -> np.ndarray:
     recurrence has one redundant equation; the z = n row is a consistency
     check, not an unknown).
     """
-    n, p, q = params.n, params.p, params.q
+    n, p = params.n, params.p
     A = set(int(b) for b in target_set)
     if not A <= set(range(n + 1)):
         raise ValueError("target set must be a subset of {0,...,n}")

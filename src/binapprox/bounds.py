@@ -3,7 +3,7 @@
 Every calculator here is a deterministic function of moment summaries and
 smoothness constants; nothing in this module samples.  Simulation and
 moment estimation live in the application modules, which then feed their
-numbers through these formulas.
+numbers through these formulas, all assembled by ``bound_from_theta``.
 """
 
 from __future__ import annotations
@@ -14,17 +14,28 @@ from dataclasses import dataclass, field, asdict
 
 from .lattice import (LatticePMF, convolve_all, point_mass,
                       smoothness_functional, tv_distance)
-from .binomial import CenteringParams, centering_params, centered_binomial, \
-    BinomialParams, binomial_pmf
+from .binomial import CenteringParams, Inapplicable, centering_params, \
+    centered_binomial, check_variance, BinomialParams, binomial_pmf
 
 # Additive constant absorbed by every bound: the lattice-rounding and
 # perturbation terms plus the tail estimate, each at most 1/4, 1/4, 1/4, 1.
 ROUNDING_CONSTANT = 1.75
 
 
-def _check_sigma2(sigma2: float) -> None:
-    if sigma2 <= 1.0:
-        raise ValueError(f"bounds require variance > 1, got {sigma2}")
+@dataclass(frozen=True)
+class BoundReport:
+    """A bound value with the theta sum and variance it was assembled from."""
+
+    value: float
+    theta_sum: float
+    sigma2: float
+
+
+def bound_from_theta(theta_sum: float, sigma2: float) -> BoundReport:
+    """sigma^-2 (theta_sum + 1.75); Inapplicable unless sigma2 > 1."""
+    check_variance(sigma2)
+    return BoundReport((theta_sum + ROUNDING_CONSTANT) / sigma2,
+                       theta_sum, sigma2)
 
 
 def rho(summand: LatticePMF) -> float:
@@ -62,17 +73,15 @@ def leave_one_out_smoothness(spec: IndependentSummandSpec, i: int, l: int) -> fl
     return smoothness_functional(convolve_all(rest), l)
 
 
-def independent_sum_bound(spec: IndependentSummandSpec, l: int) -> float:
+def independent_sum_bound(spec: IndependentSummandSpec, l: int) -> BoundReport:
     """Approximation error bound for a sum of independent lattice summands.
 
     sigma^-2 (sum_i c_{l,i} rho_i + 1.75) with exact leave-one-out
     smoothness constants c_{l,i}.
     """
-    sigma2 = spec.sigma2
-    _check_sigma2(sigma2)
     total = sum(leave_one_out_smoothness(spec, i, l) * rho(s)
                 for i, s in enumerate(spec.summands))
-    return (total + ROUNDING_CONSTANT) / sigma2
+    return bound_from_theta(total, spec.sigma2)
 
 
 def independent_sum_approximant(spec: IndependentSummandSpec) -> tuple[CenteringParams, LatticePMF]:
@@ -99,7 +108,7 @@ def integer_sum_bound(summands: list[LatticePMF], metric: str) -> tuple[float, L
         if abs(s.offset) > 1e-9:
             raise ValueError("summands must be integer valued")
     sigma2 = sum(s.variance() for s in summands)
-    _check_sigma2(sigma2)
+    check_variance(sigma2)
     sigma = math.sqrt(sigma2)
     mu = sum(s.mean() for s in summands)
     rho_sum = sum(s.variance() ** 1.5 + 0.5 * s.abs_moment(3) for s in summands)
@@ -153,13 +162,11 @@ class LocalDependenceSpec:
     terms: list[DependenceTerm]
 
 
-def local_dependence_bound(spec: LocalDependenceSpec, l: int) -> float:
+def local_dependence_bound(spec: LocalDependenceSpec, l: int) -> BoundReport:
     """Bound for sums with a finite two-layer neighborhood structure."""
     if l not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {l}")
-    _check_sigma2(spec.sigma2)
-    total = sum(t.theta(l) for t in spec.terms)
-    return (total + ROUNDING_CONSTANT) / spec.sigma2
+    return bound_from_theta(sum(t.theta(l) for t in spec.terms), spec.sigma2)
 
 
 @dataclass(frozen=True)
@@ -195,17 +202,14 @@ class PointProcessSpec:
 
 
 def point_process_bound(spec: PointProcessSpec, l: int,
-                        sigma2: float, anchor: float = 0.0) -> float:
+                        sigma2: float) -> BoundReport:
     """Bound for the total point count of a locally dependent point process."""
     if l not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {l}")
-    _check_sigma2(sigma2)
-    total = 0.0
-    for t in spec.terms:
-        if t.weight < 0:
-            raise ValueError("quadrature weights must be nonnegative")
-        total += t.weight * t.theta(l)
-    return (total + ROUNDING_CONSTANT) / sigma2
+    if any(t.weight < 0 for t in spec.terms):
+        raise ValueError("quadrature weights must be nonnegative")
+    return bound_from_theta(sum(t.weight * t.theta(l) for t in spec.terms),
+                            sigma2)
 
 
 @dataclass(frozen=True)
@@ -230,14 +234,29 @@ class DecomposableSpec:
     terms_l2: list[DecompositionTerm]
 
 
-def decomposition_bound(spec: DecomposableSpec, l: int) -> float:
+def decomposition_bound(spec: DecomposableSpec, l: int) -> BoundReport:
     """Bound for sums admitting an independent-part decomposition."""
     if l not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {l}")
-    _check_sigma2(spec.sigma2)
     terms = spec.terms_l1 if l == 1 else spec.terms_l2
-    total = sum(t.theta() for t in terms)
-    return (total + ROUNDING_CONSTANT) / spec.sigma2
+    return bound_from_theta(sum(t.theta() for t in terms), spec.sigma2)
+
+
+def bound_report(spec, l: int, sigma2: float | None = None) -> BoundReport:
+    """The order-l bound of a spec of any kind; point-process specs carry no
+    variance and take sigma2.  Calculators are looked up at call time, so a
+    wrapper rebound in their place (a tracer's, say) sees these calls."""
+    if isinstance(spec, IndependentSummandSpec):
+        return independent_sum_bound(spec, l)
+    if isinstance(spec, LocalDependenceSpec):
+        return local_dependence_bound(spec, l)
+    if isinstance(spec, DecomposableSpec):
+        return decomposition_bound(spec, l)
+    if isinstance(spec, PointProcessSpec):
+        if sigma2 is None:
+            raise Inapplicable("point-process specs need sigma2")
+        return point_process_bound(spec, l, sigma2)
+    raise TypeError(f"not a bound spec: {type(spec)!r}")
 
 
 # -- smoothing estimates ------------------------------------------------
@@ -292,21 +311,18 @@ def smoothing_conditional(per_z) -> tuple[float, float]:
 # -- JSON round-trips for the CLI ---------------------------------------
 
 
+# JSON "kind" of each spec whose fields serialize as they are.
+_KINDS = {LocalDependenceSpec: "local_dependence",
+          PointProcessSpec: "point_process", DecomposableSpec: "decomposable"}
+
+
 def spec_to_json(spec) -> str:
     if isinstance(spec, IndependentSummandSpec):
         doc = {"kind": "independent",
                "summands": [{"offset": s.offset, "min_index": s.min_index,
                              "probs": list(s.probs)} for s in spec.summands]}
-    elif isinstance(spec, LocalDependenceSpec):
-        doc = {"kind": "local_dependence", "sigma2": spec.sigma2,
-               "anchor": spec.anchor, "terms": [asdict(t) for t in spec.terms]}
-    elif isinstance(spec, PointProcessSpec):
-        doc = {"kind": "point_process", "terms": [asdict(t) for t in spec.terms]}
-    elif isinstance(spec, DecomposableSpec):
-        doc = {"kind": "decomposable", "sigma2": spec.sigma2,
-               "anchor": spec.anchor,
-               "terms_l1": [asdict(t) for t in spec.terms_l1],
-               "terms_l2": [asdict(t) for t in spec.terms_l2]}
+    elif type(spec) in _KINDS:
+        doc = {"kind": _KINDS[type(spec)], **asdict(spec)}
     else:
         raise TypeError(f"not a bound spec: {type(spec)!r}")
     return json.dumps(doc, indent=2)

@@ -57,37 +57,13 @@ def _fmt(v) -> str:
 
 def cmd_bound(args) -> int:
     with open(args.spec_file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    spec = _bounds.spec_from_json(text)
-    rows = []
-    for l, metric in ((1, "tv"), (2, "loc")):
-        if isinstance(spec, _bounds.IndependentSummandSpec):
-            value = _bounds.independent_sum_bound(spec, l)
-            sigma2 = spec.sigma2
-            theta = value * sigma2 - _bounds.ROUNDING_CONSTANT
-        elif isinstance(spec, _bounds.LocalDependenceSpec):
-            value = _bounds.local_dependence_bound(spec, l)
-            sigma2 = spec.sigma2
-            theta = sum(t.theta(l) for t in spec.terms)
-        elif isinstance(spec, _bounds.PointProcessSpec):
-            if args.sigma2 is None:
-                raise Inapplicable("point-process specs need --sigma2")
-            sigma2 = args.sigma2
-            value = _bounds.point_process_bound(spec, l, sigma2)
-            theta = sum(t.weight * t.theta(l) for t in spec.terms)
-        elif isinstance(spec, _bounds.DecomposableSpec):
-            value = _bounds.decomposition_bound(spec, l)
-            sigma2 = spec.sigma2
-            theta = sum(t.theta() for t in
-                        (spec.terms_l1 if l == 1 else spec.terms_l2))
-        else:
-            raise ValueError("unknown spec type")
-        rows.append((metric, l, value, sigma2, theta))
+        spec = _bounds.spec_from_json(fh.read())
     lines = _header({"subcommand": "bound", "spec_file": args.spec_file})
     lines.append("metric,l,bound,sigma2,theta_sum,constant")
-    for metric, l, value, sigma2, theta in rows:
+    for l, metric in ((1, "tv"), (2, "loc")):
+        rep = _bounds.bound_report(spec, l, args.sigma2)
         lines.append(",".join(_fmt(v) for v in
-                              (metric, l, value, sigma2, theta,
+                              (metric, l, rep.value, rep.sigma2, rep.theta_sum,
                                _bounds.ROUNDING_CONSTANT)))
     _emit(lines, args.out)
     return EXIT_OK
@@ -97,31 +73,22 @@ def cmd_exact(args) -> int:
     if args.kind == "poisson-binomial":
         summand = make_pmf([1.0 - args.p, args.p]).translate(-args.p)
         spec = _bounds.IndependentSummandSpec([summand] * args.n)
-        sigma2 = spec.sigma2
-        if sigma2 <= 1.0:
-            raise Inapplicable(f"variance {sigma2} <= 1")
         w = _oracle.exact_sum_pmf(spec.summands)
-        tv, loc, _cp = _oracle.exact_distance_report(w)
-        b1 = _bounds.independent_sum_bound(spec, 1)
-        b2 = _bounds.independent_sum_bound(spec, 2)
     else:
         model = _oracle.TwoRunsModel(args.n, args.p)
         raw = _oracle.two_runs_pmf(model)
         w = raw.translate(-raw.mean())
-        if w.variance() <= 1.0:
-            raise Inapplicable(f"variance {w.variance()} <= 1")
-        tv, loc, _cp = _oracle.exact_distance_report(w)
         spec = _oracle.two_runs_dependence_spec(model)
-        b1 = _bounds.local_dependence_bound(spec, 1)
-        b2 = _bounds.local_dependence_bound(spec, 2)
-        sigma2 = spec.sigma2
+    # Raises Inapplicable on variance <= 1, before the bounds' work.
+    tv, loc, _cp = _oracle.exact_distance_report(w)
+    b1, b2 = (_bounds.bound_report(spec, l).value for l in (1, 2))
     verdict = "PASS" if (tv <= b1 and loc <= b2) else "FAIL"
     lines = _header({"subcommand": "exact", "kind": args.kind,
                      "n": args.n, "p": args.p})
     lines += _row(
         ["kind", "n", "p", "sigma2", "exact_tv", "exact_loc",
          "bound_l1", "bound_l2", "verdict"],
-        [args.kind, args.n, args.p, sigma2, tv, loc, b1, b2, verdict])
+        [args.kind, args.n, args.p, spec.sigma2, tv, loc, b1, b2, verdict])
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -132,7 +99,7 @@ def _experiment(app: str, args, scale):
         cfg = _rscan.RScanConfig(n=int(scale), r=args.r, a=args.a,
                                  base_dist=args.dist)
         return _rscan.empirical_distance(cfg, args.reps, args.seed)
-    if args.subcommand == "matern" and args.r is not None:
+    if args.r is not None:
         cfg = _matern.MaternConfig(d=args.d, lam=scale, r=args.r)
     else:
         cfg = _matern.MaternConfig.from_intensity_product(args.d, float(scale),
@@ -157,10 +124,25 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+def _app_flags(args) -> None:
+    """Default rates' --r to 2 (rscan) and --d to 1 (matern); refuse a flag
+    the app does not read."""
+    if args.app == "rscan":
+        stray = "--d" if args.d is not None else None
+        args.r = 2 if args.r is None else args.r
+    else:
+        stray = ("--r" if args.r is not None else
+                 "--dist" if args.dist != "exponential" else None)
+        args.d = 1 if args.d is None else args.d
+    if stray:
+        raise ValueError(f"{stray} does not apply to --app {args.app}")
+
+
 def cmd_rates(args) -> int:
     scales = args.scales
     if len(scales) < 3:
         raise argparse.ArgumentTypeError("need at least 3 scales")
+    _app_flags(args)
     results = [_experiment(args.app, args, scale) for scale in scales]
     key = "tv" if args.metric == "tv" else "loc"
     points = [(float(s), getattr(r, key)) for s, r in zip(scales, results)]
@@ -229,11 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=10 ** 5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--metric", choices=["tv", "loc"], default="tv")
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--r", type=int, help="rscan only (default 2)")
     p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=int, help="matern only (default 1)")
     p.add_argument("--dist", choices=list(_rscan.BASE_DISTS),
-                   default="exponential")
+                   default="exponential",
+                   help="rscan only; on matern the default is a no-op")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rates)
     return ap

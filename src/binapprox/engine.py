@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import LatticePMF, empirical_pmf, loc_distance, tv_distance
-from .binomial import CenteringParams, centering_params, centered_binomial
+from .binomial import CenteringParams, centering_params, centered_binomial, \
+    check_variance, Inapplicable  # noqa: F401  (Inapplicable: for the CLI)
 
 BOOTSTRAP_RESAMPLES = 200
 # Rate fits drop points whose distance is within this factor of the floor.
@@ -26,10 +27,6 @@ FLOOR_DROP_FACTOR = 3.0
 # Base draws per simulator chunk.  The size is fixed (not derived from the
 # worker count) so results are bit-identical however chunks are scheduled.
 CHUNK_DRAWS = 2 * 10 ** 7
-
-
-class Inapplicable(ValueError):
-    """Valid input whose preconditions (variance > 1 etc.) fail."""
 
 
 def sample_chunked(chunk_sampler, reps: int, seed: int,
@@ -100,8 +97,7 @@ def run_experiment(sampler, cfg, reps: int, seed: int,
     sampler(cfg, reps, seed) must return reps values on the lattice
     Z + anchor and be deterministic in (cfg, reps, seed).
     """
-    if sigma2 <= 1.0:
-        raise Inapplicable(f"need sigma2 > 1, got {sigma2}")
+    check_variance(sigma2)
     t0 = time.perf_counter()
     samples = np.asarray(sampler(cfg, reps, seed), dtype=float)
     emp = empirical_pmf(samples, anchor)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import bound_from_theta
 from .engine import count_experiment, sample_chunked
 
 MAX_EXACT_DIM = 3
@@ -181,11 +182,8 @@ def error_bound(cfg: MaternConfig, l: int) -> float:
         c = 2.0 / math.sqrt(pmin * (md - 2))
     else:
         c = 8.0 / (pmin * (md - 3))
-    sigma2, _ = variance_total(cfg)
-    if sigma2 <= 1.0:
-        raise ValueError(f"variance {sigma2} must exceed 1")
     theta_integral = mean_total(cfg) * 26.0 * 7 ** d * c
-    return (theta_integral + 1.75) / sigma2
+    return bound_from_theta(theta_integral, variance_total(cfg)[0]).value
 
 
 def empirical_distance(cfg: MaternConfig, reps: int, seed: int):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
+from .bounds import bound_from_theta
 from .engine import count_experiment, sample_chunked
 
 BASE_DISTS = ("exponential", "uniform01")
@@ -177,11 +178,8 @@ def error_bound(cfg: RScanConfig, l: int) -> float:
         c = 2.0 / math.sqrt(pmin * (m - 2))
     else:
         c = 8.0 / (pmin * (m - 4))
-    sigma2 = variance_formula(cfg)
-    if sigma2 <= 1.0:
-        raise ValueError(f"variance {sigma2} must exceed 1")
     theta = c * PER_INDEX_CONSTANT(cfg.r)
-    return (cfg.n * theta + 1.75) / sigma2
+    return bound_from_theta(cfg.n * theta, variance_formula(cfg)).value
 
 
 def empirical_distance(cfg: RScanConfig, reps: int, seed: int):

@@ -53,8 +53,8 @@ def test_acceptance_1_independent_sum_dominance():
         exact = convolve_all(centered)
         tv = tv_distance(exact, approx)
         loc = loc_distance(exact, approx)
-        b1 = independent_sum_bound(spec, 1)
-        b2 = independent_sum_bound(spec, 2)
+        b1 = independent_sum_bound(spec, 1).value
+        b2 = independent_sum_bound(spec, 2).value
         assert tv <= b1 and loc <= b2, f"n={n}: {tv}/{b1}, {loc}/{b2}"
         margins.append(b1 - tv)
 
@@ -74,12 +74,12 @@ def test_acceptance_2_dependent_sum_dominance():
         tv, loc, _ = exact_distance_report(w)
         dep = two_runs_dependence_spec(model)
         dec = two_runs_decomposable_spec(model)
-        b1 = local_dependence_bound(dep, 1)
-        b2 = local_dependence_bound(dep, 2)
+        b1 = local_dependence_bound(dep, 1).value
+        b2 = local_dependence_bound(dep, 2).value
         assert tv <= b1, f"n={n} p={p}: tv {tv} > {b1}"
         assert loc <= b2, f"n={n} p={p}: loc {loc} > {b2}"
-        assert tv <= decomposition_bound(dec, 1)
-        assert loc <= decomposition_bound(dec, 2)
+        assert tv <= decomposition_bound(dec, 1).value
+        assert loc <= decomposition_bound(dec, 2).value
         worst = min(worst, b1 - tv)
     print(f"acceptance 2: PASS (min tv margin {worst:.3f})")
 

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from binapprox.bounds import (DecomposableSpec, DecompositionTerm,
+from binapprox.binomial import Inapplicable
+from binapprox.bounds import (BoundReport, DecomposableSpec, DecompositionTerm,
                               DependenceTerm, IndependentSummandSpec,
                               LocalDependenceSpec, PointProcessSpec, PointTerm,
                               decomposition_bound, independent_sum_approximant,
                               independent_sum_bound, integer_sum_bound,
+                              bound_from_theta, bound_report,
                               leave_one_out_smoothness, local_dependence_bound,
                               point_process_bound, rho, smoothing_bounds,
                               smoothing_conditional, smoothing_split,
@@ -75,7 +77,7 @@ class TestIndependentSumBound:
         assert spec.sigma2 == pytest.approx(3.0)
         c = [leave_one_out_smoothness(spec, i, 1) for i in range(12)]
         expected = (sum(ci * 3 / 16 for ci in c) + 1.75) / 3.0
-        assert independent_sum_bound(spec, 1) == pytest.approx(expected)
+        assert independent_sum_bound(spec, 1).value == pytest.approx(expected)
 
     def test_rejects_small_variance(self):
         with pytest.raises(ValueError):
@@ -91,7 +93,7 @@ class TestIndependentSumBound:
         exact = convolve_all(summands)
         d = tv_distance(exact, approx) if dist == "tv" \
             else loc_distance(exact, approx)
-        assert d <= independent_sum_bound(spec, l) + 1e-12
+        assert d <= independent_sum_bound(spec, l).value + 1e-12
 
     def test_heterogeneous_dominance(self):
         rng = np.random.default_rng(23)
@@ -104,7 +106,7 @@ class TestIndependentSumBound:
             _, approx = independent_sum_approximant(spec)
             exact = convolve_all(summands)
             assert tv_distance(exact, approx) \
-                <= independent_sum_bound(spec, 1) + 1e-12
+                <= independent_sum_bound(spec, 1).value + 1e-12
 
 
 class TestIntegerSumBound:
@@ -153,8 +155,8 @@ class TestIntegerSumBound:
 class TestLocalDependenceBound:
     def test_zero_moments(self):
         spec = LocalDependenceSpec(4.0, 0.0, [DependenceTerm(0, 0, 0, 0, 1, 2)])
-        assert local_dependence_bound(spec, 1) == pytest.approx(1.75 / 4.0)
-        assert local_dependence_bound(spec, 2) == pytest.approx(1.75 / 4.0)
+        assert local_dependence_bound(spec, 1).value == pytest.approx(1.75 / 4.0)
+        assert local_dependence_bound(spec, 2).value == pytest.approx(1.75 / 4.0)
 
     def test_term_assembly(self):
         t = DependenceTerm(m_xi_eta2=0.4, m_xi_eta_tau=0.3, m_cov=0.2,
@@ -166,13 +168,13 @@ class TestLocalDependenceBound:
         rng = np.random.default_rng(37)
         base = DependenceTerm(0.4, 0.3, 0.2, 1.5, 0.5, 1.25)
         spec = LocalDependenceSpec(4.0, 0.0, [base])
-        b0 = local_dependence_bound(spec, 1)
+        b0 = local_dependence_bound(spec, 1).value
         for name in ("m_xi_eta2", "m_xi_eta_tau", "m_cov", "m_tau", "c1"):
             kwargs = {f: getattr(base, f) for f in
                       ("m_xi_eta2", "m_xi_eta_tau", "m_cov", "m_tau", "c1", "c2")}
             kwargs[name] = kwargs[name] * (1.0 + rng.random())
             spec2 = LocalDependenceSpec(4.0, 0.0, [DependenceTerm(**kwargs)])
-            assert local_dependence_bound(spec2, 1) >= b0 - 1e-15
+            assert local_dependence_bound(spec2, 1).value >= b0 - 1e-15
 
     def test_rejects_bad_order(self):
         spec = LocalDependenceSpec(4.0, 0.0, [])
@@ -183,13 +185,13 @@ class TestLocalDependenceBound:
 class TestPointProcessBound:
     def test_zero_moments(self):
         spec = PointProcessSpec.homogeneous(10.0, 0, 0, 0, 0, 0, 0.1, 0.2)
-        assert point_process_bound(spec, 1, 4.0) == pytest.approx(1.75 / 4.0)
+        assert point_process_bound(spec, 1, 4.0).value == pytest.approx(1.75 / 4.0)
 
     def test_homogeneous_assembly(self):
         spec = PointProcessSpec.homogeneous(
             mu_total=10.0, palm_prod=2.0, plain_prod=2.0, mu_A=0.5, mu_B=0.5,
             palm_B=1.0, c1=0.1, c2=0.1)
-        assert point_process_bound(spec, 1, 4.0) == pytest.approx(2.8125)
+        assert point_process_bound(spec, 1, 4.0).value == pytest.approx(2.8125)
 
     def test_rejects_negative_weight(self):
         spec = PointProcessSpec([PointTerm(-1.0, 0, 0, 0, 0, 0, 0.1, 0.1)])
@@ -201,7 +203,7 @@ class TestDecompositionBound:
     def test_zero_terms(self):
         spec = DecomposableSpec(9.0, 0.0, [DecompositionTerm(0.0)],
                                 [DecompositionTerm(0.0)])
-        assert decomposition_bound(spec, 1) == pytest.approx(1.75 / 9.0)
+        assert decomposition_bound(spec, 1).value == pytest.approx(1.75 / 9.0)
 
     def test_reduces_to_local_dependence(self):
         # One inner/outer neighborhood pair maps onto a single-block
@@ -220,8 +222,41 @@ class TestDecompositionBound:
                                               zvsum_terms=[c * m4])]
             dec = DecomposableSpec(4.0, 0.0, terms[1], terms[2])
             for l in (1, 2):
-                assert decomposition_bound(dec, l) \
-                    == pytest.approx(local_dependence_bound(dep, l), rel=1e-12)
+                assert decomposition_bound(dec, l).value \
+                    == pytest.approx(local_dependence_bound(dep, l).value, rel=1e-12)
+
+
+class TestBoundReport:
+    def test_assembly(self):
+        assert bound_from_theta(0.25, 4.0) == BoundReport(0.5, 0.25, 4.0)
+
+    @pytest.mark.parametrize("sigma2", [0.5, 1.0])
+    def test_small_variance_inapplicable(self, sigma2):
+        with pytest.raises(Inapplicable):
+            bound_from_theta(0.0, sigma2)
+
+    def test_dispatch_matches_calculators(self):
+        ind = IndependentSummandSpec([centered_bernoulli(0.5)] * 12)
+        dep = LocalDependenceSpec(
+            4.0, 0.0, [DependenceTerm(0.4, 0.3, 0.2, 1.5, 0.5, 1.25)])
+        dec = DecomposableSpec(9.0, 0.0,
+                               [DecompositionTerm(0.5, [0.1], [0.2], [0.3])],
+                               [DecompositionTerm(1.0)])
+        pp = PointProcessSpec.homogeneous(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)
+        for l in (1, 2):
+            assert bound_report(ind, l) == independent_sum_bound(ind, l)
+            assert bound_report(dep, l) == local_dependence_bound(dep, l)
+            assert bound_report(dec, l) == decomposition_bound(dec, l)
+            assert bound_report(pp, l, 4.0) == point_process_bound(pp, l, 4.0)
+
+    def test_point_process_needs_sigma2(self):
+        pp = PointProcessSpec.homogeneous(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)
+        with pytest.raises(Inapplicable):
+            bound_report(pp, 1)
+
+    def test_rejects_non_spec(self):
+        with pytest.raises(TypeError):
+            bound_report(object(), 1)
 
 
 class TestSmoothingBounds:
@@ -270,8 +305,8 @@ class TestSpecSerialization:
     def test_independent_round_trip(self):
         spec = IndependentSummandSpec([centered_bernoulli(0.5)] * 6)
         out = spec_from_json(spec_to_json(spec))
-        assert independent_sum_bound(out, 1) \
-            == pytest.approx(independent_sum_bound(spec, 1))
+        assert independent_sum_bound(out, 1).value \
+            == pytest.approx(independent_sum_bound(spec, 1).value)
 
     def test_local_dependence_round_trip(self):
         spec = LocalDependenceSpec(

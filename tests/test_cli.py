@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from binapprox import cli
+from binapprox import bounds, cli
+from binapprox.lattice import make_pmf
 from binapprox.cli import (EXIT_INAPPLICABLE, EXIT_INTERNAL, EXIT_OK,
                           EXIT_USAGE, main)
 
@@ -52,6 +54,33 @@ class TestBoundCommand:
         out = tmp_path / "pp.csv"
         assert main(["bound", str(path), "--sigma2", "4.0",
                      "--out", str(out)]) == EXIT_OK
+
+
+    def test_small_variance_inapplicable(self, tmp_path):
+        doc = {"kind": "local_dependence", "sigma2": 0.5, "anchor": 0.0,
+               "terms": []}
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bound", str(path)]) == EXIT_INAPPLICABLE
+
+    def test_independent_theta_sum_exact(self, tmp_path):
+        # The printed theta sum is the sum itself, not a value back-solved
+        # from the bound (which differs in the last bits for this spec).
+        rng = np.random.default_rng(1)
+        summands = []
+        for _ in range(8):
+            pmf = make_pmf(list(rng.dirichlet(np.ones(3))))
+            summands.append(pmf.translate(-pmf.mean()))
+        spec = bounds.IndependentSummandSpec(summands)
+        path = tmp_path / "ind.json"
+        path.write_text(bounds.spec_to_json(spec))
+        out = tmp_path / "out.csv"
+        assert main(["bound", str(path), "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_rows(out)
+        for l, row in zip((1, 2), rows):
+            theta = sum(bounds.leave_one_out_smoothness(spec, i, l)
+                        * bounds.rho(s) for i, s in enumerate(summands))
+            assert row["theta_sum"] == repr(theta)
 
 
 class TestExactCommand:
@@ -110,6 +139,26 @@ class TestExperimentCommands:
         assert main(["rates", "--app", "rscan", "--scales", "10", "11", "12",
                      "--r", "2", "--a", "0.05",
                      "--reps", "100"]) == EXIT_INAPPLICABLE
+
+    @pytest.mark.parametrize("extra", [["--r", "7"],
+                                       ["--dist", "uniform01"]])
+    def test_rates_matern_rejects_rscan_flags(self, extra, capsys):
+        assert main(["rates", "--app", "matern", "--scales", "200", "400",
+                     "800", "--reps", "100"] + extra) == EXIT_USAGE
+        assert extra[0] in capsys.readouterr().err
+
+    def test_rates_rscan_rejects_matern_flag(self, capsys):
+        assert main(["rates", "--app", "rscan", "--scales", "100", "200",
+                     "400", "--d", "2", "--reps", "100"]) == EXIT_USAGE
+        assert "--d" in capsys.readouterr().err
+
+    def test_rates_matern_accepts_default_dist(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["rates", "--app", "matern", "--scales", "200", "400",
+                     "800", "--dist", "exponential", "--reps", "200",
+                     "--out", str(out)]) == EXIT_OK
+        _, names, rows = read_rows(out)
+        assert names[0] == "d" and [r["d"] for r in rows] == ["1"] * 3
 
     def test_rates_needs_three_scales(self):
         assert main(["rates", "--app", "rscan", "--scales", "100", "200",

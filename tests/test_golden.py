@@ -35,6 +35,21 @@ CASES = {
     "exact_poisson_binomial": ["exact", "poisson-binomial", "--n", "40",
                                "--p", "0.3"],
     "bound_decomposable": ["bound", "spec.json"],
+    "bound_local_dependence": ["bound", "spec.json"],
+    "bound_point_process": ["bound", "spec.json", "--sigma2", "4.0"],
+}
+
+# Bound specs the ``bound`` cases read from spec.json.
+SPECS = {
+    "bound_decomposable": lambda: oracle.two_runs_decomposable_spec(
+        oracle.TwoRunsModel(60, 0.4)),
+    "bound_local_dependence": lambda: oracle.two_runs_dependence_spec(
+        oracle.TwoRunsModel(60, 0.4)),
+    "bound_point_process": lambda: bounds.PointProcessSpec(
+        [bounds.PointTerm(weight=w, palm_prod=0.3 * w, plain_prod=0.7,
+                          mu_A=0.1, mu_B=0.45 / w, palm_B=0.2 + w,
+                          c1=1.3, c2=2.9)
+         for w in (0.25, 1.5, 3.125)]),
 }
 
 RSCAN_COLS = ["n", "r", "a", "dist", "reps", "seed", "sigma2", "bound_l1",
@@ -61,10 +76,8 @@ def drop_wall_time(text: str) -> str:
 
 def run_case(name: str, workdir: Path) -> str:
     """Run one case in workdir and return its output without wall_time."""
-    if name == "bound_decomposable":
-        model = oracle.TwoRunsModel(60, 0.4)
-        spec = oracle.two_runs_decomposable_spec(model)
-        (workdir / "spec.json").write_text(bounds.spec_to_json(spec))
+    if name in SPECS:
+        (workdir / "spec.json").write_text(bounds.spec_to_json(SPECS[name]()))
     out = workdir / f"{name}.csv"
     assert cli.main(CASES[name] + ["--out", str(out)]) == cli.EXIT_OK
     return drop_wall_time(out.read_text(encoding="utf-8"))

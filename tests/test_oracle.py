@@ -5,7 +5,8 @@ import pytest
 
 from binapprox.bounds import decomposition_bound, local_dependence_bound
 from binapprox.lattice import (make_pmf, smoothness_functional, tv_distance)
-from binapprox.oracle import (TwoRunsModel, exact_distance_report,
+from binapprox.oracle import (TwoRunsModel, _window_moments,
+                              exact_distance_report,
                               exact_sum_pmf, two_runs_decomposable_spec,
                               two_runs_dependence_spec, two_runs_moments,
                               two_runs_pmf, two_runs_pmf_bruteforce,
@@ -89,6 +90,23 @@ class TestTwoRunsSmoothness:
         assert c_big[1] < c_small[1]
 
 
+class TestTwoRunsMoments:
+    @pytest.mark.parametrize("n,p", [(3, 0.4), (4, 0.4), (5, 0.5), (6, 0.2),
+                                     (8, 0.7), (12, 0.4), (60, 0.3),
+                                     (60, 0.6)])
+    def test_matches_per_index_enumeration(self, n, p):
+        model = TwoRunsModel(n, p)
+        rows, sigma2 = two_runs_moments(model)
+        expected_rows, expected_sigma2 = [], 0.0
+        for i in range(1, n + 1):
+            m1, m2, m3, m4 = _window_moments(model, i)
+            expected_rows.append({"m_xi_eta2": m1, "m_xi_eta_tau": m2,
+                                  "m_cov": abs(m3), "m_tau": m4})
+            expected_sigma2 += m3
+        assert rows == expected_rows
+        assert sigma2 == expected_sigma2
+
+
 class TestDependenceSpecs:
     @pytest.mark.parametrize("n,p", [(30, 0.5), (60, 0.3)])
     def test_bound_dominates_exact_distance(self, n, p):
@@ -96,16 +114,16 @@ class TestDependenceSpecs:
         w = two_runs_pmf(model).translate(-n * p * p)
         tv, loc, _ = exact_distance_report(w)
         spec = two_runs_dependence_spec(model)
-        assert tv <= local_dependence_bound(spec, 1)
-        assert loc <= local_dependence_bound(spec, 2)
+        assert tv <= local_dependence_bound(spec, 1).value
+        assert loc <= local_dependence_bound(spec, 2).value
 
     def test_decomposition_agrees_with_neighborhood_form(self):
         model = TwoRunsModel(30, 0.5)
         dep = two_runs_dependence_spec(model)
         dec = two_runs_decomposable_spec(model)
         for l in (1, 2):
-            assert decomposition_bound(dec, l) \
-                == pytest.approx(local_dependence_bound(dep, l), rel=1e-12)
+            assert decomposition_bound(dec, l).value \
+                == pytest.approx(local_dependence_bound(dep, l).value, rel=1e-12)
 
     def test_anchor_matches_centered_law(self):
         model = TwoRunsModel(30, 0.5)
