@@ -98,6 +98,20 @@ def centered_binomial(cp: CenteringParams) -> LatticePMF:
     return raw.translate(-cp.n * cp.p)
 
 
+def _centered_indicator(params: BinomialParams, target_set) -> np.ndarray:
+    """1_A - P[Bi(n, p) in A] on {0, ..., n}: the right-hand side of the
+    Stein equation for the target set A."""
+    n = params.n
+    A = set(int(b) for b in target_set)
+    if not A <= set(range(n + 1)):
+        raise ValueError("target set must be a subset of {0,...,n}")
+    h = np.zeros(n + 1)
+    if A:
+        h[sorted(A)] = 1.0
+    pmf = binomial_pmf(params).probs
+    return h - float(np.dot(pmf, h))
+
+
 def stein_solution(params: BinomialParams, target_set) -> np.ndarray:
     """Solve the characterizing recurrence for the indicator of target_set.
 
@@ -106,14 +120,7 @@ def stein_solution(params: BinomialParams, target_set) -> np.ndarray:
     check, not an unknown).
     """
     n, p = params.n, params.p
-    A = set(int(b) for b in target_set)
-    if not A <= set(range(n + 1)):
-        raise ValueError("target set must be a subset of {0,...,n}")
-    h = np.zeros(n + 1)
-    if A:
-        h[sorted(A)] = 1.0
-    pmf = binomial_pmf(params).probs
-    rhs = h - float(np.dot(pmf, h))
+    rhs = _centered_indicator(params, target_set)
     # Telescoped form: with w(z) = p(n-z)*pi(z)*g(z) the recurrence reads
     # w(z) = w(z-1) - pi(z)*rhs(z), so g(z) is a partial sum of pi*rhs
     # against pi(z).  Summing from the near tail keeps every weight ratio
@@ -138,12 +145,7 @@ def stein_solution(params: BinomialParams, target_set) -> np.ndarray:
 def stein_residual(params: BinomialParams, target_set, g: np.ndarray) -> float:
     """Max pointwise defect of g in the characterizing recurrence."""
     n, p, q = params.n, params.p, params.q
-    h = np.zeros(n + 1)
-    A = sorted(set(int(b) for b in target_set))
-    if A:
-        h[A] = 1.0
-    pmf = binomial_pmf(params).probs
-    rhs = h - float(np.dot(pmf, h))
+    rhs = _centered_indicator(params, target_set)
     z = np.arange(n + 1)
     gm1 = np.concatenate(([0.0], g[:-1]))
     lhs = q * z * gm1 - p * (n - z) * g

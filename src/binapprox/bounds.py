@@ -193,13 +193,6 @@ class PointTerm:
 class PointProcessSpec:
     terms: list[PointTerm]
 
-    @classmethod
-    def homogeneous(cls, mu_total: float, palm_prod: float, plain_prod: float,
-                    mu_A: float, mu_B: float, palm_B: float,
-                    c1: float, c2: float) -> "PointProcessSpec":
-        return cls([PointTerm(mu_total, palm_prod, plain_prod,
-                              mu_A, mu_B, palm_B, c1, c2)])
-
 
 def point_process_bound(spec: PointProcessSpec, l: int,
                         sigma2: float) -> BoundReport:
@@ -283,11 +276,23 @@ def smoothing_bounds(v_list) -> tuple[float, float]:
     return smoothing_constants(sum(v), max(v) if v else 0.0)
 
 
-def smoothing_split(V1: float, V2: float) -> float:
-    """Second-order smoothing via an explicit two-block split of the sum."""
-    if V1 <= 0 or V2 <= 0:
-        return math.inf
-    return 4.0 / math.sqrt(V1 * V2)
+def block_smoothing_constant(l: int, m: int, k: int, p0: float,
+                             p1: float) -> float:
+    """Order-l smoothing constant of a sum cut into m conditionally
+    independent blocks whose pinning events have probabilities p0, p1:
+    2/sqrt(p_min (m-2)) for l = 1 and 8/(p_min (m-k)) for l = 2, with
+    p_min = min(1/2, p0, p1); the second order drops k blocks."""
+    if l not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {l}")
+    if (l == 1 and m <= 2) or (l == 2 and m <= k):
+        raise ValueError(f"too few blocks (m={m}) for order {l}")
+    if min(p0, p1) <= 0.0:
+        raise ValueError("degenerate block events; each block must put mass "
+                         "on both pinning events")
+    pmin = min(0.5, p0, p1)
+    if l == 1:
+        return 2.0 / math.sqrt(pmin * (m - 2))
+    return 8.0 / (pmin * (m - k))
 
 
 def smoothing_conditional(per_z) -> tuple[float, float]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_from_theta
+from .bounds import block_smoothing_constant, bound_from_theta
 from .engine import count_experiment, sample_chunked
 
 MAX_EXACT_DIM = 3
@@ -85,22 +85,20 @@ def _counts_chunk_1d(cfg: MaternConfig, reps: int, seed_seq) -> np.ndarray:
     key = np.sort(np.repeat(np.arange(reps, dtype=np.int64), taus) + xs.astype(np.float64))
     rid = np.floor(key).astype(np.int64)
     xs = (key - rid).astype(np.float32)
-    # Segment bookkeeping: first and last flat index of each rep's points.
-    ends = np.cumsum(taus)
-    starts = ends - taus
-    idx = np.arange(total)
-    seg_start = starts[rid]
-    seg_end = ends[rid]
-    left = np.where(idx > seg_start, idx - 1, seg_end - 1)
-    right = np.where(idx < seg_end - 1, idx + 1, seg_start)
-    gap_left = xs - xs[left]
-    gap_left[idx == seg_start] += 1.0
-    gap_right = xs[right] - xs
-    gap_right[idx == seg_end - 1] += 1.0
-    half = np.float32(cfg.r / 2.0)
-    singleton = taus[rid] == 1
-    keep = singleton | ((gap_left > half) & (gap_right > half))
-    return np.bincount(rid[keep], minlength=reps).astype(np.int64)
+    # first opens each rep's run of sorted points and last closes it.
+    first = np.ones(total, dtype=bool)
+    first[1:] = rid[1:] != rid[:-1]
+    last = np.roll(first, -1)
+    # Left gap of each point on the circle; a run's first point wraps
+    # around to its last, and a lone point's gap is exactly 1.
+    gap = np.diff(xs, prepend=xs[:1])
+    gap[first] = xs[first] - xs[last]
+    gap[first] += 1.0
+    # A point is kept when its left gap and its cyclic successor's are big.
+    big = gap > np.float32(cfg.r / 2.0)
+    succ = np.roll(big, -1)
+    succ[last] = big[first]
+    return np.bincount(rid[big & succ], minlength=reps).astype(np.int64)
 
 
 def simulate_counts(cfg: MaternConfig, reps: int, seed: int) -> np.ndarray:
@@ -168,20 +166,9 @@ def variance_total(cfg: MaternConfig) -> tuple[float, float]:
 def error_bound(cfg: MaternConfig, l: int) -> float:
     """Assembled centered-binomial approximation bound, of order lam^{-l/2}
     at fixed intensity product a."""
-    if l not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {l}")
     d, a = cfg.d, cfg.a
-    m = int(1.0 / (6.0 * cfg.r))
-    md = m ** d
-    if (l == 1 and md <= 2) or (l == 2 and md <= 3):
-        raise ValueError(f"too few blocks (m^d={md}) for order {l}")
-    p0 = math.exp(-a)
-    p1 = a * math.exp(-(3 ** d) * a)
-    pmin = min(0.5, p0, p1)
-    if l == 1:
-        c = 2.0 / math.sqrt(pmin * (md - 2))
-    else:
-        c = 8.0 / (pmin * (md - 3))
+    c = block_smoothing_constant(l, int(1.0 / (6.0 * cfg.r)) ** d, 3,
+                                 math.exp(-a), a * math.exp(-(3 ** d) * a))
     theta_integral = mean_total(cfg) * 26.0 * 7 ** d * c
     return bound_from_theta(theta_integral, variance_total(cfg)[0]).value
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import LatticePMF, convolve_all, counts_pmf, loc_distance, \
-    smoothness_functional, tv_distance
+    tv_distance
 from .binomial import CenteringParams, centering_params, centered_binomial
 from .bounds import DependenceTerm, LocalDependenceSpec, DecompositionTerm, \
-    DecomposableSpec, smoothing_constants
+    DecomposableSpec, smoothing_constants, step_overlap
 
 SUPPORT_CAP = 10 ** 6
 
@@ -127,8 +127,8 @@ def _block_overlaps(p: float) -> tuple[float, float]:
 
     Conditioning on every third X splits the raw count into blocks
     U_k = X_a X_{a+1} + X_{a+1} X_{a+2} + X_{a+2} X_{a+3} that are
-    independent given the conditioned endpoints X_a, X_{a+3}.  The overlap
-    v = min(1/2, 1 - D^1/2) is computed exactly for each endpoint pair.
+    independent given the conditioned endpoints X_a, X_{a+3}.  Each endpoint
+    pair's overlap is the exact ``step_overlap`` of its block law.
     """
     q = 1.0 - p
     vs = []
@@ -138,9 +138,7 @@ def _block_overlaps(p: float) -> tuple[float, float]:
             pr = (p if xb else q) * (p if xc else q)
             u = ea * xb + xb * xc + xc * eb
             probs[u] += pr
-        pmf = counts_pmf(probs, 0, 0.0)
-        v = min(0.5, 1.0 - 0.5 * smoothness_functional(pmf, 1))
-        vs.append(v)
+        vs.append(step_overlap(counts_pmf(probs, 0, 0.0)))
     return min(vs), max(vs)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .bounds import bound_from_theta
+from .bounds import block_smoothing_constant, bound_from_theta
 from .engine import count_experiment, sample_chunked
 
 BASE_DISTS = ("exponential", "uniform01")
@@ -125,7 +125,7 @@ def _simulate_chunk(cfg: RScanConfig, reps: int, seed_seq) -> np.ndarray:
     else:
         x = rng.random((reps, cols), dtype=np.float32)
     # Direct sliding sum (no cumsum: avoids float32 cancellation).
-    w = x[:, :cfg.n].astype(np.float32).copy()
+    w = x[:, :cfg.n].copy()
     for k in range(1, cfg.r):
         w += x[:, k:k + cfg.n]
     return (w <= np.float32(cfg.a)).sum(axis=1).astype(np.int64)
@@ -164,20 +164,8 @@ def error_bound(cfg: RScanConfig, l: int) -> float:
     Combines the worst-case neighborhood moment constant with the
     block-conditioning smoothness constants and the closed-form variance.
     """
-    if l not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {l}")
-    m = cfg.n // (3 * cfg.r - 2)
-    if (l == 1 and m <= 2) or (l == 2 and m <= 4):
-        raise ValueError(f"too few blocks (m={m}) for order {l}")
     p0, p1 = _event_probs(cfg)
-    if min(p0, p1) <= 0.0:
-        raise ValueError("degenerate block events; base distribution must "
-                         "put mass on every interval in (0, a]")
-    pmin = min(0.5, p0, p1)
-    if l == 1:
-        c = 2.0 / math.sqrt(pmin * (m - 2))
-    else:
-        c = 8.0 / (pmin * (m - 4))
+    c = block_smoothing_constant(l, cfg.n // (3 * cfg.r - 2), 4, p0, p1)
     theta = c * PER_INDEX_CONSTANT(cfg.r)
     return bound_from_theta(cfg.n * theta, variance_formula(cfg)).value
 

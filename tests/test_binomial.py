@@ -110,6 +110,15 @@ class TestSteinSolution:
             g = stein_solution(params, A)
             assert stein_residual(params, A, g) < 1e-9
 
+    @pytest.mark.parametrize("target", [{-1}, {11}, {3, 12}])
+    def test_target_outside_support_rejected(self, target):
+        params = BinomialParams(10, 0.4)
+        g = stein_solution(params, {3})
+        with pytest.raises(ValueError, match="subset"):
+            stein_solution(params, target)
+        with pytest.raises(ValueError, match="subset"):
+            stein_residual(params, target, g)
+
     def test_characterization_mean_zero(self):
         # The operator annihilates expectations under the binomial law.
         rng = np.random.default_rng(21)

@@ -9,11 +9,12 @@ from binapprox.bounds import (BoundReport, DecomposableSpec, DecompositionTerm,
                               LocalDependenceSpec, PointProcessSpec, PointTerm,
                               decomposition_bound, independent_sum_approximant,
                               independent_sum_bound, integer_sum_bound,
+                              block_smoothing_constant,
                               bound_from_theta, bound_report,
                               leave_one_out_smoothness, local_dependence_bound,
                               point_process_bound, rho, smoothing_bounds,
-                              smoothing_conditional, smoothing_split,
-                              spec_from_json, spec_to_json, step_overlap)
+                              smoothing_conditional, spec_from_json,
+                              spec_to_json, step_overlap)
 from binapprox.lattice import (convolve_all, loc_distance, make_pmf,
                                point_mass, smoothness_functional, tv_distance)
 
@@ -184,13 +185,13 @@ class TestLocalDependenceBound:
 
 class TestPointProcessBound:
     def test_zero_moments(self):
-        spec = PointProcessSpec.homogeneous(10.0, 0, 0, 0, 0, 0, 0.1, 0.2)
+        spec = PointProcessSpec([PointTerm(10.0, 0, 0, 0, 0, 0, 0.1, 0.2)])
         assert point_process_bound(spec, 1, 4.0).value == pytest.approx(1.75 / 4.0)
 
     def test_homogeneous_assembly(self):
-        spec = PointProcessSpec.homogeneous(
-            mu_total=10.0, palm_prod=2.0, plain_prod=2.0, mu_A=0.5, mu_B=0.5,
-            palm_B=1.0, c1=0.1, c2=0.1)
+        spec = PointProcessSpec([PointTerm(
+            weight=10.0, palm_prod=2.0, plain_prod=2.0, mu_A=0.5, mu_B=0.5,
+            palm_B=1.0, c1=0.1, c2=0.1)])
         assert point_process_bound(spec, 1, 4.0).value == pytest.approx(2.8125)
 
     def test_rejects_negative_weight(self):
@@ -242,7 +243,7 @@ class TestBoundReport:
         dec = DecomposableSpec(9.0, 0.0,
                                [DecompositionTerm(0.5, [0.1], [0.2], [0.3])],
                                [DecompositionTerm(1.0)])
-        pp = PointProcessSpec.homogeneous(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)
+        pp = PointProcessSpec([PointTerm(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)])
         for l in (1, 2):
             assert bound_report(ind, l) == independent_sum_bound(ind, l)
             assert bound_report(dep, l) == local_dependence_bound(dep, l)
@@ -250,7 +251,7 @@ class TestBoundReport:
             assert bound_report(pp, l, 4.0) == point_process_bound(pp, l, 4.0)
 
     def test_point_process_needs_sigma2(self):
-        pp = PointProcessSpec.homogeneous(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)
+        pp = PointProcessSpec([PointTerm(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)])
         with pytest.raises(Inapplicable):
             bound_report(pp, 1)
 
@@ -275,15 +276,29 @@ class TestSmoothingBounds:
         d1, _ = smoothing_bounds([step_overlap(s) for s in summands])
         assert exact <= d1 + 1e-12
 
-    def test_split_version(self):
-        assert smoothing_split(4.0, 16.0) == pytest.approx(0.5)
-        # An even split collapses to 8/V.
-        assert smoothing_split(4.0, 4.0) == pytest.approx(1.0)
-        assert smoothing_split(0.0, 4.0) == math.inf
-
     def test_rejects_out_of_range_overlap(self):
         with pytest.raises(ValueError):
             smoothing_bounds([0.7])
+
+
+class TestBlockSmoothingConstant:
+    def test_formulas(self):
+        assert block_smoothing_constant(1, 10, 4, 0.2, 0.6) \
+            == 2.0 / math.sqrt(0.2 * 8)
+        assert block_smoothing_constant(2, 10, 4, 0.9, 0.7) \
+            == 8.0 / (0.5 * 6)
+        assert block_smoothing_constant(2, 10, 3, 0.9, 0.1) \
+            == 8.0 / (0.1 * 7)
+
+    @pytest.mark.parametrize("l,m,k", [(1, 2, 4), (2, 4, 4), (2, 3, 3),
+                                       (3, 100, 4)])
+    def test_rejects_order_or_too_few_blocks(self, l, m, k):
+        with pytest.raises(ValueError):
+            block_smoothing_constant(l, m, k, 0.3, 0.3)
+
+    def test_rejects_degenerate_events(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            block_smoothing_constant(1, 10, 4, 0.3, 0.0)
 
 
 class TestSmoothingConditional:
@@ -315,7 +330,7 @@ class TestSpecSerialization:
         assert out == spec
 
     def test_point_process_round_trip(self):
-        spec = PointProcessSpec.homogeneous(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)
+        spec = PointProcessSpec([PointTerm(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)])
         assert spec_from_json(spec_to_json(spec)) == spec
 
     def test_decomposable_round_trip(self):

@@ -5,7 +5,9 @@ its output, with the ``wall_time`` column removed, to the fixture of the
 same name under ``tests/golden/``.  The Monte Carlo cases shrink the
 simulator chunk so that a run spans several chunks: with SMALL_CHUNK draws
 per chunk, r-scan n=100, r=2 draws 700 reps per chunk and Matern 1-d
-lam=200 draws 353.
+lam=200 draws 353.  The sparse Matern case (lam=8, one chunk) has 2 empty
+and 7 one-point reps, so it pins the wrap-around and lone-point paths of
+the 1-d simulator.
 """
 
 from pathlib import Path
@@ -24,6 +26,8 @@ CASES = {
                       "--dist", "uniform01", "--reps", "3000", "--seed", "4"],
     "matern_1d": ["matern", "--d", "1", "--lam", "200", "--a", "1.0",
                   "--reps", "2000", "--seed", "3"],
+    "matern_1d_sparse": ["matern", "--d", "1", "--lam", "8", "--a", "0.5",
+                         "--reps", "3000", "--seed", "3"],
     "matern_2d": ["matern", "--d", "2", "--lam", "100", "--r", "0.1",
                   "--reps", "20", "--seed", "3"],
     "rates_rscan": ["rates", "--app", "rscan", "--scales", "100", "200",

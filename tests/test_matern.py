@@ -145,6 +145,12 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             error_bound(MaternConfig(d=1, lam=10.0, r=1.0 / 7.0), 1)
 
+    def test_underflowed_pinning_event_rejected(self):
+        # p1 = a exp(-3a) underflows to 0 at a = 300.
+        cfg = MaternConfig.from_intensity_product(1, 1e6, 300.0)
+        with pytest.raises(ValueError, match="degenerate"):
+            error_bound(cfg, 1)
+
     def test_positive(self):
         cfg = MaternConfig.from_intensity_product(1, 200.0, 1.0)
         assert error_bound(cfg, 1) > 0
