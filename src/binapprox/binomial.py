@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .lattice import LatticePMF, make_pmf, tv_distance, loc_distance
 
@@ -83,12 +83,18 @@ def centering_params(sigma2: float, a: float) -> CenteringParams:
     return CenteringParams(sigma2=sigma2, a=a % 1.0, n=n, delta=delta, t=t)
 
 
+def binomial_logpmf(k, n: int, p: float) -> np.ndarray:
+    """log P[Bi(n, p) = k] for k in {0, ..., n}, by the same expression as
+    scipy.stats.binom.logpmf, so the values agree to the bit without
+    importing scipy.stats."""
+    return (gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
+            + xlogy(k, p) + xlog1py(n - k, -p))
+
+
 def binomial_pmf(params: BinomialParams) -> LatticePMF:
     """Exact Bi(n, p) pmf on {0, ..., n}, stable for n up to ~1e6."""
     n, p = params.n, params.p
-    k = np.arange(n + 1)
-    logpmf = stats.binom.logpmf(k, n, p)
-    probs = np.exp(logpmf)
+    probs = np.exp(binomial_logpmf(np.arange(n + 1), n, p))
     return make_pmf(probs, min_index=0, offset=0.0, renormalize=True)
 
 
@@ -127,7 +133,7 @@ def stein_solution(params: BinomialParams, target_set) -> np.ndarray:
     # pi(k)/pi(z) <= 1, which is stable where the naive forward recurrence
     # is not.
     z = np.arange(n + 1)
-    logpi = stats.binom.logpmf(z, n, p)
+    logpi = binomial_logpmf(z, n, p)
     mode = int(np.argmax(logpi))
     g = np.zeros(n + 1)
     for zi in range(n):

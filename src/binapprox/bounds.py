@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 from .lattice import (LatticePMF, convolve_all, point_mass,
                       smoothness_functional, tv_distance)
 from .binomial import CenteringParams, Inapplicable, centering_params, \
@@ -77,11 +79,25 @@ def independent_sum_bound(spec: IndependentSummandSpec, l: int) -> BoundReport:
     """Approximation error bound for a sum of independent lattice summands.
 
     sigma^-2 (sum_i c_{l,i} rho_i + 1.75) with exact leave-one-out
-    smoothness constants c_{l,i}.
+    smoothness constants c_{l,i}.  When summand i equals summand i-1, the
+    two rest-lists agree element by element, so c_{l,i} = c_{l,i-1} to
+    the bit and is reused: a run of equal summands costs one convolution.
     """
-    total = sum(leave_one_out_smoothness(spec, i, l) * rho(s)
-                for i, s in enumerate(spec.summands))
+    total = 0.0
+    prev = None
+    for i, s in enumerate(spec.summands):
+        if not _same_law(s, prev):
+            c = leave_one_out_smoothness(spec, i, l)
+        total += c * rho(s)
+        prev = s
     return bound_from_theta(total, spec.sigma2)
+
+
+def _same_law(a: LatticePMF, b: LatticePMF | None) -> bool:
+    """a and b are the same object or hold identical lattice and probs."""
+    return a is b or (b is not None and a.offset == b.offset
+                      and a.min_index == b.min_index
+                      and np.array_equal(a.probs, b.probs))
 
 
 def independent_sum_approximant(spec: IndependentSummandSpec) -> tuple[CenteringParams, LatticePMF]:
@@ -338,7 +354,6 @@ def spec_from_json(text: str):
     try:
         kind = doc["kind"]
         if kind == "independent":
-            import numpy as np
             return IndependentSummandSpec(
                 [LatticePMF(s["offset"], s["min_index"], np.asarray(s["probs"]))
                  for s in doc["summands"]])

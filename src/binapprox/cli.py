@@ -126,10 +126,13 @@ def cmd_experiment(args) -> int:
 
 def _app_flags(args) -> None:
     """Default rates' --r to 2 (rscan) and --d to 1 (matern); refuse a flag
-    the app does not read."""
+    the app does not read, and an r-scan scale that is not an integer."""
     if args.app == "rscan":
         stray = "--d" if args.d is not None else None
         args.r = 2 if args.r is None else args.r
+        for scale in args.scales:
+            if not scale.is_integer():
+                raise ValueError(f"r-scan scale {scale} is not an integer")
     else:
         stray = ("--r" if args.r is not None else
                  "--dist" if args.dist != "exponential" else None)

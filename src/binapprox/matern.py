@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .bounds import block_smoothing_constant, bound_from_theta
 from .engine import count_experiment, sample_chunked
@@ -44,22 +45,17 @@ class MaternConfig:
         return cls(d=d, lam=lam, r=(a / lam) ** (1.0 / d))
 
 
-def _torus_delta(x: np.ndarray) -> np.ndarray:
-    """Coordinate-wise torus distance from signed differences."""
-    y = np.abs(x)
-    return np.minimum(y, 1.0 - y)
-
-
 def thin_pattern(points: np.ndarray, r: float) -> np.ndarray:
-    """Keep the points with no other point in their closed side-r cube."""
+    """Keep the points with no other point in their closed side-r cube.
+
+    Close pairs come from a periodic KD-tree, so every coordinate must lie
+    in [0, 1); the tree raises ValueError for any other coordinate.
+    """
     pts = np.asarray(points, dtype=float)
-    k = pts.shape[0]
-    if k <= 1:
-        return pts.copy()
-    delta = _torus_delta(pts[:, None, :] - pts[None, :, :])
-    near = np.all(delta <= r / 2.0, axis=-1)
-    np.fill_diagonal(near, False)
-    keep = ~near.any(axis=1)
+    pairs = cKDTree(pts, boxsize=1.0).query_pairs(r / 2.0, p=np.inf,
+                                                  output_type="ndarray")
+    keep = np.ones(pts.shape[0], dtype=bool)
+    keep[pairs.ravel()] = False
     return pts[keep]
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from binapprox.binomial import (BinomialParams, binomial_pmf,
+from binapprox.binomial import (BinomialParams, binomial_logpmf, binomial_pmf,
                                 centered_binomial, centering_params,
                                 ehm_bound, shift_bound,
                                 shift_distance_exact, stein_residual,
@@ -34,6 +34,14 @@ class TestBinomialPMF:
             math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
             + k * math.log(prob) + (n - k) * math.log(1 - prob))
         assert p.probs[k - p.min_index] == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 10, 2000, 10 ** 4, 10 ** 5])
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.97])
+def test_logpmf_bit_equal_to_scipy_stats(n, p):
+    from scipy import stats
+    k = np.arange(n + 1)
+    assert np.array_equal(binomial_logpmf(k, n, p), stats.binom.logpmf(k, n, p))
 
 
 class TestCenteringParams:

@@ -85,6 +85,24 @@ class TestIndependentSumBound:
             independent_sum_bound(
                 IndependentSummandSpec([centered_bernoulli(0.5)] * 2), 1)
 
+    @pytest.mark.parametrize("pattern", ["aaaaaaaa", "aAaAaAaA", "aabbbacc",
+                                         "abababab", "aBbAcCab"])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_run_reuse_equals_per_index_sum(self, pattern, l):
+        # Lower case is one shared object per law; upper case is a fresh
+        # equal-valued copy.  Adjacent equals reuse the leave-one-out value;
+        # the bound must equal the per-index sum to the bit.
+        laws = {"a": 0.3, "b": 0.5, "c": 0.8}
+        shared = {k: centered_bernoulli(p) for k, p in laws.items()}
+        summands = [shared[ch] if ch.islower()
+                    else centered_bernoulli(laws[ch.lower()])
+                    for ch in pattern]
+        spec = IndependentSummandSpec(summands)
+        theta = sum(leave_one_out_smoothness(spec, i, l) * rho(s)
+                    for i, s in enumerate(spec.summands))
+        assert independent_sum_bound(spec, l) \
+            == bound_from_theta(theta, spec.sigma2)
+
     @pytest.mark.parametrize("n", [10, 16, 24])
     @pytest.mark.parametrize("l,dist", [(1, "tv"), (2, "loc")])
     def test_dominates_exact_distance(self, n, l, dist):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +156,11 @@ class TestExperimentCommands:
                      "400", "--d", "2", "--reps", "100"]) == EXIT_USAGE
         assert "--d" in capsys.readouterr().err
 
+    def test_rates_rscan_rejects_fractional_scale(self, capsys):
+        assert main(["rates", "--app", "rscan", "--scales", "400", "800.7",
+                     "1600", "--reps", "100"]) == EXIT_USAGE
+        assert "800.7" in capsys.readouterr().err
+
     def test_rates_matern_accepts_default_dist(self, tmp_path):
         out = tmp_path / "out.csv"
         assert main(["rates", "--app", "matern", "--scales", "200", "400",
@@ -187,3 +196,12 @@ def test_internal_failure_prints_traceback(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "internal failure: boom" in err
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs ~0.2 s of import; binomial computes its own log-pmf.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, binapprox.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from binapprox import bounds, cli, engine, oracle
+from binapprox.lattice import make_pmf
 
 GOLDEN = Path(__file__).parent / "golden"
 SMALL_CHUNK = 70700
@@ -41,6 +42,15 @@ CASES = {
     "bound_decomposable": ["bound", "spec.json"],
     "bound_local_dependence": ["bound", "spec.json"],
     "bound_point_process": ["bound", "spec.json", "--sigma2", "4.0"],
+    "bound_independent": ["bound", "spec.json"],
+}
+
+# Centered summand laws: Bernoulli(0.3), uniform on {-1, 0, 1} and
+# Bernoulli(0.5), on three different lattices.
+INDEPENDENT_LAWS = {
+    "a": make_pmf([0.7, 0.3], min_index=-1, offset=0.7),
+    "b": make_pmf([1 / 3, 1 / 3, 1 / 3], min_index=-1),
+    "c": make_pmf([0.5, 0.5], min_index=-1, offset=0.5),
 }
 
 # Bound specs the ``bound`` cases read from spec.json.
@@ -54,6 +64,10 @@ SPECS = {
                           mu_A=0.1, mu_B=0.45 / w, palm_B=0.2 + w,
                           c1=1.3, c2=2.9)
          for w in (0.25, 1.5, 3.125)]),
+    # Runs of equal summands a a b b b a c c, each a separate object after
+    # the JSON round-trip: pins the leave-one-out reuse across runs.
+    "bound_independent": lambda: bounds.IndependentSummandSpec(
+        [INDEPENDENT_LAWS[c] for c in "aabbbacc"]),
 }
 
 RSCAN_COLS = ["n", "r", "a", "dist", "reps", "seed", "sigma2", "bound_l1",

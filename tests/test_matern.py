@@ -30,7 +30,40 @@ class TestConfig:
             MaternConfig(d=1, lam=-1.0, r=0.1)
 
 
+def dense_thin(pts, r):
+    """Reference thinning: the full k x k torus distance matrix."""
+    y = np.abs(pts[:, None, :] - pts[None, :, :])
+    near = np.all(np.minimum(y, 1.0 - y) <= r / 2.0, axis=-1)
+    np.fill_diagonal(near, False)
+    return pts[~near.any(axis=1)]
+
+
 class TestThinPattern:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_dense_reference(self, d):
+        rng = np.random.default_rng(31 + d)
+        for lam in (5.0, 60.0, 400.0):
+            r = min(1.0 / 7.0, lam ** (-1.0 / d))
+            for _ in range(8):
+                pts = rng.random((rng.poisson(lam), d))
+                assert np.array_equal(thin_pattern(pts, r),
+                                      dense_thin(pts, r))
+
+    @pytest.mark.parametrize("pts,kept", [
+        ([[0.0, 0.0], [0.05, 0.0]], 0),      # distance exactly r/2: closed
+        ([[0.975, 0.5], [0.025, 0.5]], 2),   # across the seam, just over r/2
+        ([[0.98, 0.5], [0.025, 0.5]], 0),    # across the seam, inside
+    ])
+    def test_boundary_cases_match_dense(self, pts, kept):
+        pts = np.array(pts)
+        assert np.array_equal(thin_pattern(pts, 0.1), dense_thin(pts, 0.1))
+        assert thin_pattern(pts, 0.1).shape[0] == kept
+
+    @pytest.mark.parametrize("bad", [1.0, -0.25])
+    def test_rejects_coordinates_outside_unit_torus(self, bad):
+        with pytest.raises(ValueError):
+            thin_pattern(np.array([[0.5, 0.5], [bad, 0.5]]), 0.1)
+
     def test_far_pair_retained(self):
         pts = np.array([[0.1], [0.5]])
         assert thin_pattern(pts, 0.1).shape[0] == 2
