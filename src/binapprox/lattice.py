@@ -195,6 +195,10 @@ def empirical_pmf(samples, anchor: float) -> LatticePMF:
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("samples must be a nonempty 1-D array")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise OffLatticeSampleError(
+            f"sample {bad[0]} is {float(x[bad[0]])!r}, not a lattice point")
     idx_f = x - anchor
     idx = np.rint(idx_f)
     err = np.abs(idx_f - idx)

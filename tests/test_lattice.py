@@ -177,6 +177,11 @@ class TestEmpiricalPMF:
         with pytest.raises(OffLatticeSampleError):
             empirical_pmf([0.0, 0.3], anchor=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(OffLatticeSampleError, match=f"sample 2 is {bad!r}"):
+            empirical_pmf([0.0, 1.0, bad, math.nan], anchor=0.0)
+
     def test_large_sample_close_to_binomial(self):
         rng = np.random.default_rng(3)
         samples = rng.binomial(10, 0.5, size=10 ** 6)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from binapprox.engine import fit_rate
-from binapprox.matern import (MaternConfig, empirical_distance, error_bound,
-                              mean_total, simulate_counts, simulate_pattern,
-                              thin_pattern, variance_total)
+from binapprox.matern import (MaternConfig, _counts_chunk_1d,
+                              empirical_distance, error_bound, mean_total,
+                              simulate_counts, simulate_pattern, thin_pattern,
+                              variance_total)
 
 
 class TestConfig:
@@ -150,6 +151,49 @@ class TestMoments:
         m4 = np.mean((counts - counts.mean()) ** 4)
         se_var = math.sqrt(max(m4 - counts.var() ** 2, 0.0) / reps)
         assert abs(counts.var(ddof=1) - s2) < 3.5 * se_var
+
+
+def spacing_patterns(lam, reps, seed_seq):
+    """The chunk's draws as point patterns: rep i's points sit at
+    cumsum(E)/S mod 1 for its tau exponential spacings E with sum S."""
+    rng = np.random.default_rng(seed_seq)
+    taus = rng.poisson(lam, reps)
+    spacings = np.split(rng.standard_exponential(taus.sum()),
+                        np.cumsum(taus)[:-1])
+    return taus, [(np.cumsum(e) / e.sum() % 1.0)[:, None] for e in spacings]
+
+
+class TestCountsChunk1d:
+    @pytest.mark.parametrize("r", [0.05, 1.0 / 7.0])
+    @pytest.mark.parametrize("lam", [3.0, 8.0, 200.0])
+    def test_equals_thinned_pattern_rep_for_rep(self, lam, r):
+        cfg = MaternConfig(d=1, lam=lam, r=r)
+        child = np.random.SeedSequence(11).spawn(1)[0]
+        counts = _counts_chunk_1d(cfg, 400, child)
+        taus, patterns = spacing_patterns(lam, 400, child)
+        assert counts.dtype == np.int64 and counts.shape == (400,)
+        assert np.array_equal(
+            counts, [len(thin_pattern(pts, r)) for pts in patterns])
+        assert set(counts[taus == 0]) <= {0}
+        assert set(counts[taus == 1]) <= {1}
+        assert set(counts[taus == 2]) <= {0, 2}
+        if lam == 3.0:
+            assert {0, 1, 2} <= set(taus)
+
+    def test_chunk_without_points(self):
+        cfg = MaternConfig(d=1, lam=1e-3, r=0.1)
+        counts = _counts_chunk_1d(cfg, 5, np.random.SeedSequence(2))
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.zeros(5))
+
+    def test_unbiased_at_large_intensity(self):
+        # Gaps rounded to a float32 grid bias this mean low by about one
+        # unit, 2.4 SE at these reps.
+        cfg = MaternConfig.from_intensity_product(1, 12800.0, 1.0)
+        reps = 20_000
+        counts = simulate_counts(cfg, reps, seed=2026)
+        se = math.sqrt(variance_total(cfg)[0] / reps)
+        assert abs(counts.mean() - mean_total(cfg)) < 3 * se
 
 
 class TestSimulateCounts:
