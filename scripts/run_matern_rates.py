@@ -1,35 +1,20 @@
 #!/usr/bin/env python3
 """Distance-vs-intensity sweep for the hard-core point count experiment.
 
-Runs the Monte Carlo experiment at a geometric ladder of Poisson
+Runs ``binapprox rates --app matern`` at a geometric ladder of Poisson
 intensities with the intensity product a held fixed, writes one CSV row
-per scale plus a fitted-slope footer.
+per scale plus a fitted-slope footer.  PRESET holds the acceptance
+suite's settings; any ``rates`` flag given here overrides it, e.g.
+``--reps 20000 --out quick.csv``.
 """
 
-import argparse
 import sys
 
-from binapprox.cli import main as cli_main
+from binapprox.cli import main
 
-
-def parse_args():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--scales", type=float, nargs="+",
-                    default=[200.0, 800.0, 3200.0, 12800.0])
-    ap.add_argument("--d", type=int, default=1)
-    ap.add_argument("--a", type=float, default=1.0)
-    ap.add_argument("--reps", type=int, default=2 * 10 ** 5)
-    ap.add_argument("--seed", type=int, default=20260825)
-    ap.add_argument("--metric", default="tv", choices=["tv", "loc"])
-    ap.add_argument("--out", default="matern_rates.csv")
-    return ap.parse_args()
-
+PRESET = ["rates", "--app", "matern", "--scales", "200", "800", "3200",
+          "12800", "--d", "1", "--a", "1.0", "--reps", "200000",
+          "--seed", "20260825", "--metric", "tv", "--out", "matern_rates.csv"]
 
 if __name__ == "__main__":
-    args = parse_args()
-    argv = ["rates", "--app", "matern",
-            "--scales", *[str(s) for s in args.scales],
-            "--d", str(args.d), "--a", str(args.a),
-            "--reps", str(args.reps), "--seed", str(args.seed),
-            "--metric", args.metric, "--out", args.out]
-    sys.exit(cli_main(argv))
+    sys.exit(main(PRESET + sys.argv[1:]))

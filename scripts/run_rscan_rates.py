@@ -2,36 +2,21 @@
 """Distance-vs-n sweep for the window-exceedance experiment.
 
 Reproduces the O(n^{-1/2}) decay of the centered-binomial approximation
-error for the exceedance count: runs the Monte Carlo experiment at a
+error for the exceedance count: runs ``binapprox rates --app rscan`` at a
 geometric ladder of n, writes one CSV row per scale plus a fitted-slope
-footer.  Expect a few minutes at the default rep count.
+footer.  Expect a few minutes at the preset rep count.  PRESET holds the
+acceptance suite's settings; any ``rates`` flag given here overrides it,
+e.g. ``--reps 100000 --out quick.csv``.
 """
 
-import argparse
 import sys
 
-from binapprox.cli import main as cli_main
+from binapprox.cli import main
 
-
-def parse_args():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--scales", type=int, nargs="+",
-                    default=[400, 1600, 6400, 25600])
-    ap.add_argument("--r", type=int, default=2)
-    ap.add_argument("--a", type=float, default=1.0)
-    ap.add_argument("--dist", default="exponential")
-    ap.add_argument("--reps", type=int, default=10 ** 6)
-    ap.add_argument("--seed", type=int, default=20260825)
-    ap.add_argument("--metric", default="tv", choices=["tv", "loc"])
-    ap.add_argument("--out", default="rscan_rates.csv")
-    return ap.parse_args()
-
+PRESET = ["rates", "--app", "rscan", "--scales", "400", "1600", "6400",
+          "25600", "--r", "2", "--a", "1.0", "--dist", "exponential",
+          "--reps", "1000000", "--seed", "20260825", "--metric", "tv",
+          "--out", "rscan_rates.csv"]
 
 if __name__ == "__main__":
-    args = parse_args()
-    argv = ["rates", "--app", "rscan",
-            "--scales", *[str(s) for s in args.scales],
-            "--r", str(args.r), "--a", str(args.a), "--dist", args.dist,
-            "--reps", str(args.reps), "--seed", str(args.seed),
-            "--metric", args.metric, "--out", args.out]
-    sys.exit(cli_main(argv))
+    sys.exit(main(PRESET + sys.argv[1:]))

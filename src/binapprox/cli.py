@@ -20,7 +20,8 @@ from . import bounds as _bounds
 from . import matern as _matern
 from . import oracle as _oracle
 from . import rscan as _rscan
-from .engine import Inapplicable, filter_floor, fit_rate
+from .binomial import Inapplicable
+from .engine import filter_floor, fit_rate
 from .lattice import make_pmf
 
 EXIT_OK = 0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .lattice import LatticePMF, empirical_pmf, loc_distance, tv_distance
 from .binomial import CenteringParams, centering_params, centered_binomial, \
-    check_variance, Inapplicable  # noqa: F401  (Inapplicable: for the CLI)
+    check_variance
 
 BOOTSTRAP_RESAMPLES = 200
 # Rate fits drop points whose distance is within this factor of the floor.
@@ -88,7 +88,7 @@ class ExperimentResult:
         return row
 
 
-def run_experiment(sampler, cfg, reps: int, seed: int,
+def run_experiment(sampler, cfg: dict, reps: int, seed: int,
                    sigma2: float, anchor: float,
                    bound_l1: float = math.nan,
                    bound_l2: float = math.nan) -> ExperimentResult:
@@ -107,9 +107,8 @@ def run_experiment(sampler, cfg, reps: int, seed: int,
     loc = loc_distance(emp, ref)
     tv_bs, loc_bs = _bootstrap(emp, ref, reps, seed)
     tvf, locf = noise_floor(ref, reps)
-    echo = cfg if isinstance(cfg, dict) else {"config": repr(cfg)}
     return ExperimentResult(
-        config_echo=echo, reps=reps, seed=seed, empirical=emp,
+        config_echo=cfg, reps=reps, seed=seed, empirical=emp,
         sigma2_used=sigma2, params=cp, tv=tv,
         tv_ci=(min(tv, tv_bs[0]), max(tv, tv_bs[1])),
         loc=loc, loc_ci=(min(loc, loc_bs[0]), max(loc, loc_bs[1])),

@@ -93,13 +93,12 @@ class LatticePMF:
 
     def translate(self, x: float) -> "LatticePMF":
         """Translate by an arbitrary real amount (offset changes mod 1)."""
-        base, off = _split_position(self.offset + x)
-        return LatticePMF(off, self.min_index + base, self.probs)
+        return make_pmf(self.probs, self.min_index, self.offset + x)
 
 
 def make_pmf(probs, min_index: int = 0, offset: float = 0.0,
              renormalize: bool = False) -> LatticePMF:
-    """Build a LatticePMF, trimming zero tails and normalizing the offset."""
+    """Build a LatticePMF, trimming zero tails and splitting a real offset."""
     p = np.asarray(probs, dtype=float).copy()
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probs must be a nonempty 1-D array")
@@ -117,8 +116,7 @@ def make_pmf(probs, min_index: int = 0, offset: float = 0.0,
 
 
 def point_mass(x: float) -> LatticePMF:
-    base, off = _split_position(x)
-    return make_pmf([1.0], min_index=base, offset=off)
+    return make_pmf([1.0], offset=x)
 
 
 def lattices_match(p: LatticePMF, q: LatticePMF, tol: float = LATTICE_TOL) -> bool:
@@ -161,10 +159,8 @@ def loc_distance(p: LatticePMF, q: LatticePMF) -> float:
 
 def convolve(p: LatticePMF, q: LatticePMF) -> LatticePMF:
     """Distribution of the sum of independent draws from p and q."""
-    probs = np.convolve(p.probs, q.probs)
-    base, off = _split_position(p.offset + q.offset)
-    return make_pmf(probs, min_index=p.min_index + q.min_index + base,
-                    offset=off, renormalize=True)
+    return make_pmf(np.convolve(p.probs, q.probs), p.min_index + q.min_index,
+                    p.offset + q.offset, renormalize=True)
 
 
 def convolve_all(pmfs: list[LatticePMF], support_cap: int | None = None) -> LatticePMF:
@@ -208,16 +204,7 @@ def empirical_pmf(samples, anchor: float) -> LatticePMF:
             f"sample {x[worst]!r} is {err[worst]:.3g} off the lattice Z+{anchor}")
     idx = idx.astype(np.int64)
     lo = int(idx.min())
-    counts = np.bincount(idx - lo)
-    base, off = _split_position(anchor)
-    return make_pmf(counts, min_index=base + lo, offset=off, renormalize=True)
-
-
-def counts_pmf(counts, min_index: int, anchor: float) -> LatticePMF:
-    """Pmf from occupation counts of consecutive lattice sites."""
-    base, off = _split_position(anchor)
-    return make_pmf(np.asarray(counts, dtype=float), min_index=base + min_index,
-                    offset=off, renormalize=True)
+    return make_pmf(np.bincount(idx - lo), lo, anchor, renormalize=True)
 
 
 # -- serialization ------------------------------------------------------

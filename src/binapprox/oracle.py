@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticePMF, convolve_all, counts_pmf, loc_distance, \
+from .lattice import LatticePMF, convolve_all, loc_distance, make_pmf, \
     tv_distance
 from .binomial import CenteringParams, centering_params, centered_binomial
 from .bounds import DependenceTerm, LocalDependenceSpec, DecompositionTerm, \
     DecomposableSpec, smoothing_constants, step_overlap
 
 SUPPORT_CAP = 10 ** 6
+DENSE_DP_CAP = 10 ** 4
 
 
 def exact_sum_pmf(summands: list[LatticePMF]) -> LatticePMF:
@@ -49,8 +50,8 @@ class TwoRunsModel:
 def two_runs_pmf(model: TwoRunsModel) -> LatticePMF:
     """Exact law of the raw (uncentered) 2-runs count via a 2-state DP."""
     n, p = model.n, model.p
-    if n > 10 ** 4:
-        raise ValueError("model too large for the dense DP")
+    if n > DENSE_DP_CAP:
+        raise ValueError(f"n={n} exceeds the dense DP's cap of {DENSE_DP_CAP}")
     q = 1.0 - p
     # s0[k] / s1[k]: P[partial sum = k, last X = 0 / 1]
     s0 = np.zeros(n + 1)
@@ -62,7 +63,7 @@ def two_runs_pmf(model: TwoRunsModel) -> LatticePMF:
         new1[0] = p * s0[0]
         new1[1:] = p * (s0[1:] + s1[:-1])
         s0, s1 = new0, new1
-    return counts_pmf(s0 + s1, min_index=0, anchor=0.0)
+    return make_pmf(s0 + s1, renormalize=True)
 
 
 def two_runs_pmf_bruteforce(model: TwoRunsModel) -> LatticePMF:
@@ -73,7 +74,7 @@ def two_runs_pmf_bruteforce(model: TwoRunsModel) -> LatticePMF:
         w = sum(xs[i] * xs[i + 1] for i in range(n))
         pr = math.prod(p if x else 1.0 - p for x in xs)
         probs[w] += pr
-    return counts_pmf(probs, min_index=0, anchor=0.0)
+    return make_pmf(probs, renormalize=True)
 
 
 def _window_moments(model: TwoRunsModel, i: int) -> tuple[float, float, float, float]:
@@ -138,7 +139,7 @@ def _block_overlaps(p: float) -> tuple[float, float]:
             pr = (p if xb else q) * (p if xc else q)
             u = ea * xb + xb * xc + xc * eb
             probs[u] += pr
-        vs.append(step_overlap(counts_pmf(probs, 0, 0.0)))
+        vs.append(step_overlap(make_pmf(probs, renormalize=True)))
     return min(vs), max(vs)
 
 
@@ -173,18 +174,16 @@ def two_runs_decomposable_spec(model: TwoRunsModel) -> DecomposableSpec:
     Take K_i = {i}, Z_i = eta_i and V_i = tau_i - eta_i; then the
     decomposition terms reproduce the neighborhood-moment terms exactly.
     """
-    rows, sigma2 = two_runs_moments(model)
-    c1, c2 = two_runs_smoothness(model)
-    anchor = (-model.n * model.p ** 2) % 1.0
+    dep = two_runs_dependence_spec(model)
     tl = {1: [], 2: []}
-    for row in rows:
-        for l, c in ((1, c1), (2, c2)):
+    for t in dep.terms:
+        for l, c in ((1, t.c1), (2, t.c2)):
             tl[l].append(DecompositionTerm(
-                z2_term=c * 0.5 * row["m_xi_eta2"],
-                zv_terms=[c * row["m_xi_eta_tau"]],
-                cov_terms=[row["m_cov"]],
-                zvsum_terms=[c * row["m_tau"]]))
-    return DecomposableSpec(sigma2=sigma2, anchor=anchor,
+                z2_term=c * 0.5 * t.m_xi_eta2,
+                zv_terms=[c * t.m_xi_eta_tau],
+                cov_terms=[t.m_cov],
+                zvsum_terms=[c * t.m_tau]))
+    return DecomposableSpec(sigma2=dep.sigma2, anchor=dep.anchor,
                             terms_l1=tl[1], terms_l2=tl[2])
 
 

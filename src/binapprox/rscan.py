@@ -25,8 +25,7 @@ class RScanConfig:
     n: int                      # number of windows
     r: int                      # window length
     a: float                    # threshold
-    base_dist: str = "exponential"
-    rate: float = 1.0           # only used for the exponential base
+    base_dist: str = "exponential"  # Exp(1) or U(0,1) base variables
 
     def __post_init__(self):
         if self.r < 1:
@@ -37,46 +36,31 @@ class RScanConfig:
             raise ValueError(f"need a > 0, got {self.a}")
         if self.base_dist not in BASE_DISTS:
             raise ValueError(f"base_dist must be one of {BASE_DISTS}")
-        if self.base_dist == "exponential" and self.rate <= 0:
-            raise ValueError("rate must be positive")
 
 
-def _irwin_hall_cdf(x: float, m: int) -> float:
-    if x <= 0:
-        return 0.0
-    if x >= m:
-        return 1.0
+def _irwin_hall(x: float, m: int, power: int) -> float:
+    """Irwin-Hall cdf (power m) or pdf (power m-1) of m uniforms, 0 < x < m."""
     total = 0.0
     for k in range(int(math.floor(x)) + 1):
-        total += (-1) ** k * math.comb(m, k) * (x - k) ** m
-    return total / math.factorial(m)
-
-
-def _irwin_hall_pdf(x: float, m: int) -> float:
-    if x <= 0 or x >= m:
-        return 0.0
-    total = 0.0
-    for k in range(int(math.floor(x)) + 1):
-        total += (-1) ** k * math.comb(m, k) * (x - k) ** (m - 1)
-    return total / math.factorial(m - 1)
+        total += (-1) ** k * math.comb(m, k) * (x - k) ** power
+    return total / math.factorial(power)
 
 
 def _window_cdf(cfg: RScanConfig, x: float, m: int) -> float:
-    """CDF of the sum of m base variables."""
-    if m == 0:
-        return 1.0 if x >= 0 else 0.0
+    """CDF of the sum of m >= 1 base variables."""
+    if x <= 0:
+        return 0.0
     if cfg.base_dist == "exponential":
-        return float(special.gammainc(m, cfg.rate * max(x, 0.0)))
-    return _irwin_hall_cdf(x, m)
+        return float(special.gammainc(m, x))
+    return _irwin_hall(x, m, m) if x < m else 1.0
 
 
 def _window_pdf(cfg: RScanConfig, x: float, m: int) -> float:
+    if x <= 0:
+        return 0.0
     if cfg.base_dist == "exponential":
-        if x <= 0:
-            return 0.0
-        lam = cfg.rate
-        return lam * (lam * x) ** (m - 1) * math.exp(-lam * x) / math.factorial(m - 1)
-    return _irwin_hall_pdf(x, m)
+        return x ** (m - 1) * math.exp(-x) / math.factorial(m - 1)
+    return _irwin_hall(x, m, m - 1) if x < m else 0.0
 
 
 def _interval_prob(cfg: RScanConfig, lo: float, hi: float) -> float:
@@ -120,8 +104,6 @@ def _simulate_chunk(cfg: RScanConfig, reps: int, seed_seq) -> np.ndarray:
     cols = cfg.n + cfg.r - 1
     if cfg.base_dist == "exponential":
         x = rng.standard_exponential((reps, cols), dtype=np.float32)
-        if cfg.rate != 1.0:
-            x /= np.float32(cfg.rate)
     else:
         x = rng.random((reps, cols), dtype=np.float32)
     # Direct sliding sum (no cumsum: avoids float32 cancellation).

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,10 @@ from binapprox import bounds, cli
 from binapprox.lattice import make_pmf
 from binapprox.cli import (EXIT_INAPPLICABLE, EXIT_INTERNAL, EXIT_OK,
                           EXIT_USAGE, main)
+from test_acceptance import (MATERN_REPS, MATERN_SCALES, RATE_SEED,
+                             RSCAN_REPS, RSCAN_SCALES)
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def read_rows(path):
@@ -100,6 +105,12 @@ class TestExactCommand:
         assert main(["exact", "poisson-binomial", "--n", "3",
                      "--p", "0.5"]) == EXIT_INAPPLICABLE
 
+    def test_two_runs_past_dense_dp_cap(self, capsys):
+        assert main(["exact", "two-runs", "--n", "10001",
+                     "--p", "0.4"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "n=10001" in err and "cap of 10000" in err
+
     def test_poisson_binomial_pass(self, tmp_path):
         out = tmp_path / "out.csv"
         assert main(["exact", "poisson-binomial", "--n", "20", "--p", "0.5",
@@ -172,6 +183,18 @@ class TestExperimentCommands:
     def test_rates_needs_three_scales(self):
         assert main(["rates", "--app", "rscan", "--scales", "100", "200",
                      "--reps", "100"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("app,scales,reps,flag,value", [
+    ("rscan", RSCAN_SCALES, RSCAN_REPS, "r", 2),
+    ("matern", MATERN_SCALES, MATERN_REPS, "d", 1)])
+def test_sweep_script_preset_is_acceptance_sweep(app, scales, reps, flag,
+                                                 value):
+    preset = runpy.run_path(str(SCRIPTS / f"run_{app}_rates.py"))["PRESET"]
+    args = cli.build_parser().parse_args(preset)
+    assert (args.app, args.scales, args.reps, args.seed, args.a) \
+        == (app, [float(s) for s in scales], reps, RATE_SEED, 1.0)
+    assert getattr(args, flag) == value
 
 
 class TestUsageErrors:

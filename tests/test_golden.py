@@ -33,6 +33,10 @@ CASES = {
                   "--reps", "20", "--seed", "3"],
     "rates_rscan": ["rates", "--app", "rscan", "--scales", "100", "200",
                     "400", "--reps", "2000", "--seed", "3"],
+    # Large enough reps that every point clears the noise floor, so the
+    # fitted-slope footer is printed.
+    "rates_rscan_fitted": ["rates", "--app", "rscan", "--scales", "10", "20",
+                           "40", "--reps", "50000", "--seed", "3"],
     "rates_matern": ["rates", "--app", "matern", "--scales", "200", "400",
                      "800", "--reps", "1500", "--seed", "5",
                      "--metric", "loc"],

@@ -47,6 +47,10 @@ class TestTwoRunsPMF:
         with pytest.raises(ValueError):
             TwoRunsModel(2, 0.5)
 
+    def test_refuses_past_dense_dp_cap(self):
+        with pytest.raises(ValueError, match=r"n=10001 .*cap of 10000"):
+            two_runs_pmf(TwoRunsModel(10 ** 4 + 1, 0.4))
+
 
 class TestTwoRunsMoments:
     @pytest.mark.parametrize("n,p", [(10, 0.3), (25, 0.5), (12, 0.7)])
@@ -68,6 +72,21 @@ class TestTwoRunsMoments:
         for r in rows:
             assert all(v >= 0.0 for v in r.values())
 
+    @pytest.mark.parametrize("n,p", [(3, 0.4), (4, 0.4), (5, 0.5), (6, 0.2),
+                                     (8, 0.7), (12, 0.4), (60, 0.3),
+                                     (60, 0.6)])
+    def test_matches_per_index_enumeration(self, n, p):
+        model = TwoRunsModel(n, p)
+        rows, sigma2 = two_runs_moments(model)
+        expected_rows, expected_sigma2 = [], 0.0
+        for i in range(1, n + 1):
+            m1, m2, m3, m4 = _window_moments(model, i)
+            expected_rows.append({"m_xi_eta2": m1, "m_xi_eta_tau": m2,
+                                  "m_cov": abs(m3), "m_tau": m4})
+            expected_sigma2 += m3
+        assert rows == expected_rows
+        assert sigma2 == expected_sigma2
+
 
 class TestTwoRunsSmoothness:
     @pytest.mark.parametrize("n,p", [(30, 0.5), (60, 0.3), (60, 0.5)])
@@ -88,23 +107,6 @@ class TestTwoRunsSmoothness:
         c_big = two_runs_smoothness(TwoRunsModel(300, 0.5))
         assert c_big[0] < c_small[0]
         assert c_big[1] < c_small[1]
-
-
-class TestTwoRunsMoments:
-    @pytest.mark.parametrize("n,p", [(3, 0.4), (4, 0.4), (5, 0.5), (6, 0.2),
-                                     (8, 0.7), (12, 0.4), (60, 0.3),
-                                     (60, 0.6)])
-    def test_matches_per_index_enumeration(self, n, p):
-        model = TwoRunsModel(n, p)
-        rows, sigma2 = two_runs_moments(model)
-        expected_rows, expected_sigma2 = [], 0.0
-        for i in range(1, n + 1):
-            m1, m2, m3, m4 = _window_moments(model, i)
-            expected_rows.append({"m_xi_eta2": m1, "m_xi_eta_tau": m2,
-                                  "m_cov": abs(m3), "m_tau": m4})
-            expected_sigma2 += m3
-        assert rows == expected_rows
-        assert sigma2 == expected_sigma2
 
 
 class TestDependenceSpecs:

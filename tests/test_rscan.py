@@ -10,7 +10,7 @@ from binapprox.rscan import (RScanConfig, empirical_distance, error_bound,
 
 
 def cfg_exp(n, r=2, a=1.0):
-    return RScanConfig(n=n, r=r, a=a, base_dist="exponential", rate=1.0)
+    return RScanConfig(n=n, r=r, a=a, base_dist="exponential")
 
 
 class TestConfig:
@@ -23,8 +23,6 @@ class TestConfig:
             RScanConfig(n=100, r=2, a=0.0)
         with pytest.raises(ValueError):
             RScanConfig(n=100, r=2, a=1.0, base_dist="cauchy")
-        with pytest.raises(ValueError):
-            RScanConfig(n=100, r=2, a=1.0, rate=-1.0)
 
 
 class TestExceedanceProb:
@@ -43,13 +41,6 @@ class TestExceedanceProb:
     def test_monotone_in_threshold(self):
         ps = [exceedance_prob(cfg_exp(100, a=a)) for a in (0.5, 1.0, 2.0, 4.0)]
         assert ps == sorted(ps)
-
-    def test_rate_scaling(self):
-        # Scaling the rate by c and the threshold by 1/c leaves p unchanged.
-        base = exceedance_prob(cfg_exp(100, a=1.0))
-        scaled = exceedance_prob(
-            RScanConfig(n=100, r=2, a=0.5, base_dist="exponential", rate=2.0))
-        assert scaled == pytest.approx(base, rel=1e-12)
 
 
 class TestPsi:
