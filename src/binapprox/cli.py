@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 import traceback
 
 from . import bounds as _bounds
@@ -147,7 +148,12 @@ def cmd_rates(args) -> int:
     if len(scales) < 3:
         raise argparse.ArgumentTypeError("need at least 3 scales")
     _app_flags(args)
-    results = [_experiment(args.app, args, scale) for scale in scales]
+    results = []
+    for i, scale in enumerate(scales, 1):
+        t0 = time.perf_counter()
+        results.append(_experiment(args.app, args, scale))
+        print(f"# rates {args.app} scale={scale:.15g} ({i}/{len(scales)}) "
+              f"{time.perf_counter() - t0:.2f} s", file=sys.stderr)
     key = "tv" if args.metric == "tv" else "loc"
     points = [(float(s), getattr(r, key)) for s, r in zip(scales, results)]
     floors = [r.tv_floor if key == "tv" else r.loc_floor for r in results]

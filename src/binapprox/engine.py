@@ -24,9 +24,16 @@ from .binomial import CenteringParams, centering_params, centered_binomial, \
 BOOTSTRAP_RESAMPLES = 200
 # Rate fits drop points whose distance is within this factor of the floor.
 FLOOR_DROP_FACTOR = 3.0
-# Base draws per simulator chunk.  The size is fixed (not derived from the
-# worker count) so results are bit-identical however chunks are scheduled.
+# Base draws per simulator chunk: the seeding unit.  The size is fixed (not
+# derived from the worker count) so results are bit-identical however chunks
+# are scheduled.
 CHUNK_DRAWS = 2 * 10 ** 7
+# Base draws a chunk kernel holds at once: the working-set unit.  A kernel
+# walks its chunk's reps in blocks of block_reps rows and reuses the block
+# buffers; consecutive fills of one Generator give the values of one big
+# fill, so the block size moves no output bit.  2**18 float32 draws are
+# 1 MB, and a full chunk peaks at a few MB.
+BLOCK_DRAWS = 2 ** 18
 
 
 def sample_chunked(chunk_sampler, reps: int, seed: int,
@@ -48,6 +55,12 @@ def sample_chunked(chunk_sampler, reps: int, seed: int,
         out.append(chunk_sampler(m, child))
         done += m
     return np.concatenate(out)
+
+
+def block_reps(draws_per_rep: float) -> int:
+    """Reps per kernel block: at most BLOCK_DRAWS base draws, at least one
+    rep."""
+    return max(1, int(BLOCK_DRAWS // draws_per_rep))
 
 
 def noise_floor(reference: LatticePMF, reps: int) -> tuple[float, float]:

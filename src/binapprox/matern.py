@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .bounds import block_smoothing_constant, bound_from_theta
-from .engine import count_experiment, sample_chunked
+from .engine import block_reps, count_experiment, sample_chunked
 
 MAX_EXACT_DIM = 3
 QUAD_NODES = 64
@@ -31,8 +31,8 @@ class MaternConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"need d >= 1, got {self.d}")
-        if self.lam <= 0:
-            raise ValueError(f"need lam > 0, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"need lam > 0 and finite, got {self.lam}")
         if not 0.0 < self.r <= 1.0 / 7.0:
             raise ValueError(f"need 0 < r <= 1/7, got {self.r}")
 
@@ -70,24 +70,28 @@ def simulate_pattern(cfg: MaternConfig, seed) -> np.ndarray:
 def _counts_chunk_1d(cfg: MaternConfig, reps: int, seed_seq) -> np.ndarray:
     rng = np.random.default_rng(seed_seq)
     taus = rng.poisson(cfg.lam, reps)
-    # The gaps between tau uniform points on the circle, in cyclic order,
-    # are E_i / S for iid Exp(1) spacings E with sum S, so no sort is needed:
-    # point i's left gap is big when E_i > (r/2) S.
-    spacings = rng.standard_exponential(int(taus.sum()))
-    occupied = taus > 0
-    # first and last index each occupied rep's run of points.
-    last = np.cumsum(taus)[occupied] - 1
-    first = last + 1 - taus[occupied]
-    threshold = np.add.reduceat(spacings, first) * (cfg.r / 2.0)
-    big = spacings > np.repeat(threshold, taus[occupied])
-    # A point is kept when its left gap and its cyclic successor's are big;
-    # a lone point's only gap is the whole circle.
-    kept = np.roll(big, -1)
-    kept[last] = big[first]
-    kept &= big
     counts = np.zeros(reps, dtype=np.int64)
-    # An int32 sum: reduceat casts the whole input to its dtype first.
-    counts[occupied] = np.add.reduceat(kept, first, dtype=np.int32)
+    step = block_reps(cfg.lam)
+    for lo in range(0, reps, step):
+        t = taus[lo:lo + step]
+        # The gaps between tau uniform points on the circle, in cyclic order,
+        # are E_i / S for iid Exp(1) spacings E with sum S, so no sort is
+        # needed: point i's left gap is big when E_i > (r/2) S.
+        spacings = rng.standard_exponential(int(t.sum()))
+        occupied = t > 0
+        # first and last index each occupied rep's run of points.
+        last = np.cumsum(t)[occupied] - 1
+        first = last + 1 - t[occupied]
+        threshold = np.add.reduceat(spacings, first) * (cfg.r / 2.0)
+        big = spacings > np.repeat(threshold, t[occupied])
+        # A point is kept when its left gap and its cyclic successor's are
+        # big; a lone point's only gap is the whole circle.
+        kept = np.roll(big, -1)
+        kept[last] = big[first]
+        kept &= big
+        # An int32 sum: reduceat casts the whole input to its dtype first.
+        counts[lo:lo + step][occupied] = np.add.reduceat(kept, first,
+                                                         dtype=np.int32)
     return counts
 
 

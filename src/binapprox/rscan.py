@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .bounds import block_smoothing_constant, bound_from_theta
-from .engine import count_experiment, sample_chunked
+from .engine import block_reps, count_experiment, sample_chunked
 
 BASE_DISTS = ("exponential", "uniform01")
 
@@ -32,8 +32,8 @@ class RScanConfig:
             raise ValueError(f"need r >= 1, got {self.r}")
         if self.n < 3 * self.r - 2:
             raise ValueError(f"need n >= 3r-2 = {3 * self.r - 2}, got {self.n}")
-        if self.a <= 0:
-            raise ValueError(f"need a > 0, got {self.a}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"need a > 0 and finite, got {self.a}")
         if self.base_dist not in BASE_DISTS:
             raise ValueError(f"base_dist must be one of {BASE_DISTS}")
 
@@ -101,16 +101,26 @@ def variance_formula(cfg: RScanConfig) -> float:
 
 def _simulate_chunk(cfg: RScanConfig, reps: int, seed_seq) -> np.ndarray:
     rng = np.random.default_rng(seed_seq)
-    cols = cfg.n + cfg.r - 1
-    if cfg.base_dist == "exponential":
-        x = rng.standard_exponential((reps, cols), dtype=np.float32)
-    else:
-        x = rng.random((reps, cols), dtype=np.float32)
-    # Direct sliding sum (no cumsum: avoids float32 cancellation).
-    w = x[:, :cfg.n].copy()
-    for k in range(1, cfg.r):
-        w += x[:, k:k + cfg.n]
-    return (w <= np.float32(cfg.a)).sum(axis=1).astype(np.int64)
+    n, r = cfg.n, cfg.r
+    draw = (rng.standard_exponential if cfg.base_dist == "exponential"
+            else rng.random)
+    step = min(reps, block_reps(n + r - 1))
+    x = np.empty((step, n + r - 1), dtype=np.float32)
+    w = np.empty((step, n), dtype=np.float32) if r > 1 else None
+    hit = np.empty((step, n), dtype=bool)
+    counts = np.empty(reps, dtype=np.int64)
+    for lo in range(0, reps, step):
+        m = min(step, reps - lo)
+        xb = draw(dtype=np.float32, out=x[:m])
+        wb = xb  # r = 1: a window is one draw
+        if r > 1:
+            # Direct sliding sum (no cumsum: avoids float32 cancellation).
+            wb = np.add(xb[:, :n], xb[:, 1:n + 1], out=w[:m])
+            for k in range(2, r):
+                wb += xb[:, k:k + n]
+        np.less_equal(wb, np.float32(cfg.a), out=hit[:m])
+        counts[lo:lo + m] = np.count_nonzero(hit[:m], axis=1)
+    return counts
 
 
 def simulate_counts(cfg: RScanConfig, reps: int, seed: int) -> np.ndarray:

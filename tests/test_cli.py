@@ -148,6 +148,18 @@ class TestExperimentCommands:
         assert len(rows) == 3
         assert any("slope=" in c for c in comments)
 
+    def test_rates_progress_goes_to_stderr(self, capsys):
+        assert main(["rates", "--app", "matern", "--scales", "200", "400.5",
+                     "800", "--reps", "200", "--seed", "3"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert len(lines) == 3
+        for line, tag in zip(lines, ["scale=200 (1/3)", "scale=400.5 (2/3)",
+                                     "scale=800 (3/3)"]):
+            assert line.startswith(f"# rates matern {tag} ")
+            assert line.endswith(" s")
+        assert "# rates matern" not in out
+
     def test_small_variance_inapplicable(self):
         assert main(["rscan", "--n", "10", "--r", "2", "--a", "0.05",
                      "--reps", "100"]) == EXIT_INAPPLICABLE

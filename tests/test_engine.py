@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from binapprox import engine, matern, rscan
 from binapprox.binomial import BinomialParams, binomial_pmf
 from binapprox.engine import (filter_floor, fit_rate, noise_floor,
                               run_experiment)
@@ -112,3 +114,31 @@ class TestFilterFloor:
     def test_custom_factor(self):
         kept, dropped = filter_floor([(1.0, 0.05)], [0.01], factor=10.0)
         assert kept == [] and dropped == [(1.0, 0.05)]
+
+
+# One full-size chunk of each kernel: r-scan n=6400, r=2 (3124 reps of 6401
+# draws) and Matern 1-d lam=800 (25000 reps of 800 expected draws).
+FULL_CHUNKS = {
+    "rscan": (lambda m, child: rscan._simulate_chunk(
+        rscan.RScanConfig(n=6400, r=2, a=1.0), m, child), 6401),
+    "matern_1d": (lambda m, child: matern._counts_chunk_1d(
+        matern.MaternConfig.from_intensity_product(1, 800.0, 1.0), m, child),
+        800.0),
+}
+
+
+@pytest.mark.parametrize("name", list(FULL_CHUNKS))
+def test_full_chunk_peak_memory(name):
+    """A kernel holds a few blocks of BLOCK_DRAWS draws, not its whole
+    chunk: numpy reports its buffers to tracemalloc."""
+    kernel, draws_per_rep = FULL_CHUNKS[name]
+    reps = int(engine.CHUNK_DRAWS / draws_per_rep)
+    child = np.random.SeedSequence(1).spawn(1)[0]
+    tracemalloc.start()
+    try:
+        counts = kernel(reps, child)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (reps,)
+    assert peak < 16 * 2 ** 20

@@ -3,11 +3,15 @@
 Each case runs ``binapprox.cli.main`` on a small configuration and compares
 its output, with the ``wall_time`` column removed, to the fixture of the
 same name under ``tests/golden/``.  The Monte Carlo cases shrink the
-simulator chunk so that a run spans several chunks: with SMALL_CHUNK draws
-per chunk, r-scan n=100, r=2 draws 700 reps per chunk and Matern 1-d
-lam=200 draws 353.  The sparse Matern case (lam=8, one chunk) has 2 empty
-and 7 one-point reps, so it pins the wrap-around and lone-point paths of
-the 1-d simulator.
+simulator chunk so that a run spans several chunks, and the kernel block so
+that a chunk spans several blocks: with SMALL_CHUNK draws per chunk and
+SMALL_BLOCK per block, r-scan n=100, r=2 draws 700 reps per chunk in blocks
+of 95 (7 full blocks and one of 35) and Matern 1-d lam=200 draws 353 in
+blocks of 48 (7 and one of 17).  Every chunk of every case ends on a
+ragged block, and the fixtures are the ones the unblocked kernels wrote.
+The sparse Matern case (lam=8, one chunk of 3000 reps in blocks of 1200)
+has 2 empty and 7 one-point reps, so it pins the wrap-around and
+lone-point paths of the 1-d simulator.
 """
 
 from pathlib import Path
@@ -19,6 +23,7 @@ from binapprox.lattice import make_pmf
 
 GOLDEN = Path(__file__).parent / "golden"
 SMALL_CHUNK = 70700
+SMALL_BLOCK = 9600
 
 CASES = {
     "rscan": ["rscan", "--n", "100", "--r", "2", "--a", "1.0",
@@ -108,6 +113,7 @@ def run_case(name: str, workdir: Path) -> str:
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_matches_fixture(name, tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "CHUNK_DRAWS", SMALL_CHUNK)
+    monkeypatch.setattr(engine, "BLOCK_DRAWS", SMALL_BLOCK)
     monkeypatch.chdir(tmp_path)
     expected = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
     assert run_case(name, tmp_path) == expected

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from binapprox import cli, engine
 from binapprox.engine import fit_rate
 from binapprox.matern import (MaternConfig, _counts_chunk_1d,
                               empirical_distance, error_bound, mean_total,
@@ -29,6 +31,17 @@ class TestConfig:
             MaternConfig(d=0, lam=10.0, r=0.1)
         with pytest.raises(ValueError):
             MaternConfig(d=1, lam=-1.0, r=0.1)
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"need lam > 0.*got {lam}"):
+                MaternConfig(d=1, lam=lam, r=0.01)
+
+    def test_cli_rejects_nan_intensity_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["matern", "--d", "1", "--lam", "nan",
+                             "--r", "0.01"])
+        assert code == cli.EXIT_USAGE
+        assert "need lam > 0 and finite, got nan" in capsys.readouterr().err
 
 
 def dense_thin(pts, r):
@@ -166,19 +179,36 @@ def spacing_patterns(lam, reps, seed_seq):
 class TestCountsChunk1d:
     @pytest.mark.parametrize("r", [0.05, 1.0 / 7.0])
     @pytest.mark.parametrize("lam", [3.0, 8.0, 200.0])
-    def test_equals_thinned_pattern_rep_for_rep(self, lam, r):
+    def test_equals_thinned_pattern_rep_for_rep(self, lam, r, monkeypatch):
         cfg = MaternConfig(d=1, lam=lam, r=r)
         child = np.random.SeedSequence(11).spawn(1)[0]
-        counts = _counts_chunk_1d(cfg, 400, child)
         taus, patterns = spacing_patterns(lam, 400, child)
-        assert counts.dtype == np.int64 and counts.shape == (400,)
-        assert np.array_equal(
-            counts, [len(thin_pattern(pts, r)) for pts in patterns])
+        expected = [len(thin_pattern(pts, r)) for pts in patterns]
+        # A block of 600 draws holds 200, 75 and 3 reps at lam = 3, 8, 200.
+        for block in (engine.BLOCK_DRAWS, 600):
+            monkeypatch.setattr(engine, "BLOCK_DRAWS", block)
+            counts = _counts_chunk_1d(cfg, 400, child)
+            assert counts.dtype == np.int64 and counts.shape == (400,)
+            assert np.array_equal(counts, expected)
         assert set(counts[taus == 0]) <= {0}
         assert set(counts[taus == 1]) <= {1}
         assert set(counts[taus == 2]) <= {0, 2}
         if lam == 3.0:
             assert {0, 1, 2} <= set(taus)
+
+    # Blocks of 1 and 2 reps put every rep at a block edge, and a block of
+    # 1 rep is all empty when its rep is; 7 reps end 3000 on a ragged block.
+    @pytest.mark.parametrize("step", [1, 2, 7])
+    def test_blocks_equal_one_shot_draw(self, step, monkeypatch):
+        cfg = MaternConfig.from_intensity_product(1, 8.0, 0.5)
+        child = np.random.SeedSequence(3).spawn(1)[0]
+        monkeypatch.setattr(engine, "BLOCK_DRAWS", 8 * step)
+        assert engine.block_reps(cfg.lam) == step
+        counts = _counts_chunk_1d(cfg, 3000, child)
+        taus, patterns = spacing_patterns(cfg.lam, 3000, child)
+        assert {0, 1} <= set(taus)
+        assert np.array_equal(
+            counts, [len(thin_pattern(pts, cfg.r)) for pts in patterns])
 
     def test_chunk_without_points(self):
         cfg = MaternConfig(d=1, lam=1e-3, r=0.1)

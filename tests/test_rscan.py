@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from binapprox import cli, engine
 from binapprox.engine import fit_rate
-from binapprox.rscan import (RScanConfig, empirical_distance, error_bound,
-                             exceedance_prob, psi, simulate_counts,
-                             variance_formula)
+from binapprox.rscan import (RScanConfig, _simulate_chunk, empirical_distance,
+                             error_bound, exceedance_prob, psi,
+                             simulate_counts, variance_formula)
 
 
 def cfg_exp(n, r=2, a=1.0):
@@ -23,6 +25,16 @@ class TestConfig:
             RScanConfig(n=100, r=2, a=0.0)
         with pytest.raises(ValueError):
             RScanConfig(n=100, r=2, a=1.0, base_dist="cauchy")
+        for a in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"need a > 0.*got {a}"):
+                RScanConfig(n=100, r=2, a=a)
+
+    def test_cli_rejects_nan_threshold_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["rscan", "--n", "400", "--r", "2", "--a", "nan"])
+        assert code == cli.EXIT_USAGE
+        assert "need a > 0 and finite, got nan" in capsys.readouterr().err
 
 
 class TestExceedanceProb:
@@ -118,6 +130,37 @@ class TestSimulateCounts:
     def test_range(self):
         counts = simulate_counts(cfg_exp(100), 5000, seed=2)
         assert counts.min() >= 0 and counts.max() <= 100
+
+
+def one_shot_counts(cfg, reps, seed_seq):
+    """The chunk's counts from its whole (reps, n+r-1) draw matrix at once."""
+    rng = np.random.default_rng(seed_seq)
+    shape = (reps, cfg.n + cfg.r - 1)
+    if cfg.base_dist == "exponential":
+        x = rng.standard_exponential(shape, dtype=np.float32)
+    else:
+        x = rng.random(shape, dtype=np.float32)
+    w = x[:, :cfg.n].copy()
+    for k in range(1, cfg.r):
+        w += x[:, k:k + cfg.n]
+    return (w <= np.float32(cfg.a)).sum(axis=1)
+
+
+class TestSimulateChunk:
+    # With n=30, a block of 100 draws holds 2 or 3 rows, so 11 reps end on a
+    # ragged block; a block of 20 draws is narrower than one row.
+    @pytest.mark.parametrize("block", [20, 100, engine.BLOCK_DRAWS])
+    @pytest.mark.parametrize("r", [1, 2, 8])
+    @pytest.mark.parametrize("dist", ["exponential", "uniform01"])
+    def test_blocks_equal_one_shot_draw(self, dist, r, block, monkeypatch):
+        monkeypatch.setattr(engine, "BLOCK_DRAWS", block)
+        cfg = RScanConfig(n=30, r=r, a=0.6 * r, base_dist=dist)
+        child = np.random.SeedSequence(17).spawn(2)[1]
+        counts = _simulate_chunk(cfg, 11, child)
+        expected = one_shot_counts(cfg, 11, child)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
+        assert len(set(expected)) > 1
 
 
 class TestErrorBound:
