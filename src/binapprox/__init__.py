@@ -9,7 +9,7 @@ exceedance and hard-core point count applications.
 from .lattice import (LatticePMF, LatticeMismatchError, OffLatticeSampleError,
                       make_pmf, point_mass, convolve, convolve_all,
                       tv_distance, loc_distance, smoothness_functional,
-                      empirical_pmf, pmf_to_csv, pmf_from_csv)
+                      empirical_pmf)
 from .binomial import (BinomialParams, CenteringParams, binomial_pmf,
                        centering_params, centered_binomial, stein_solution,
                        stein_residual, ehm_bound, sup_norm_bound, shift_bound)

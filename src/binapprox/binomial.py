@@ -71,7 +71,7 @@ class Inapplicable(ValueError):
 
 def check_variance(sigma2: float) -> None:
     """Every centered-binomial approximation needs variance > 1."""
-    if sigma2 <= 1.0:
+    if not sigma2 > 1.0:
         raise Inapplicable(f"variance must exceed 1, got {sigma2}")
 
 

@@ -73,9 +73,9 @@ def cmd_bound(args) -> int:
 
 def cmd_exact(args) -> int:
     if args.kind == "poisson-binomial":
-        summand = make_pmf([1.0 - args.p, args.p]).translate(-args.p)
-        spec = _bounds.IndependentSummandSpec([summand] * args.n)
-        w = _oracle.exact_sum_pmf(spec.summands)
+        summands = [make_pmf([1.0 - args.p, args.p]).translate(-args.p)] * args.n
+        w = _oracle.exact_sum_pmf(summands)
+        spec = _bounds.IndependentSummandSpec(summands)
     else:
         model = _oracle.TwoRunsModel(args.n, args.p)
         raw = _oracle.two_runs_pmf(model)
@@ -95,18 +95,24 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
-def _experiment(app: str, args, scale):
-    """One Monte Carlo experiment of app at scale (n or lam)."""
+def _config(app: str, args, scale):
+    """The config of app at scale (n or lam); an r-scan scale must be an
+    integer."""
     if app == "rscan":
-        cfg = _rscan.RScanConfig(n=int(scale), r=args.r, a=args.a,
-                                 base_dist=args.dist)
-        return _rscan.empirical_distance(cfg, args.reps, args.seed)
+        if not float(scale).is_integer():
+            raise ValueError(f"r-scan scale {scale} is not an integer")
+        return _rscan.RScanConfig(n=int(scale), r=args.r, a=args.a,
+                                  base_dist=args.dist)
     if args.r is not None:
-        cfg = _matern.MaternConfig(d=args.d, lam=scale, r=args.r)
-    else:
-        cfg = _matern.MaternConfig.from_intensity_product(args.d, float(scale),
-                                                          args.a)
-    return _matern.empirical_distance(cfg, args.reps, args.seed)
+        return _matern.MaternConfig(d=args.d, lam=scale, r=args.r)
+    return _matern.MaternConfig.from_intensity_product(args.d, float(scale),
+                                                       args.a)
+
+
+def _experiment(app: str, args, cfg):
+    """One Monte Carlo experiment of app's cfg."""
+    module = _rscan if app == "rscan" else _matern
+    return module.empirical_distance(cfg, args.reps, args.seed)
 
 
 def _result_lines(results) -> list[str]:
@@ -119,7 +125,8 @@ def _result_lines(results) -> list[str]:
 
 def cmd_experiment(args) -> int:
     scale = args.n if args.subcommand == "rscan" else args.lam
-    res = _experiment(args.subcommand, args, scale)
+    res = _experiment(args.subcommand, args,
+                      _config(args.subcommand, args, scale))
     lines = _header(res.config_echo | {"reps": args.reps, "seed": args.seed})
     lines += _result_lines([res])
     _emit(lines, args.out)
@@ -128,13 +135,10 @@ def cmd_experiment(args) -> int:
 
 def _app_flags(args) -> None:
     """Default rates' --r to 2 (rscan) and --d to 1 (matern); refuse a flag
-    the app does not read, and an r-scan scale that is not an integer."""
+    the app does not read."""
     if args.app == "rscan":
         stray = "--d" if args.d is not None else None
         args.r = 2 if args.r is None else args.r
-        for scale in args.scales:
-            if not scale.is_integer():
-                raise ValueError(f"r-scan scale {scale} is not an integer")
     else:
         stray = ("--r" if args.r is not None else
                  "--dist" if args.dist != "exponential" else None)
@@ -148,10 +152,12 @@ def cmd_rates(args) -> int:
     if len(scales) < 3:
         raise argparse.ArgumentTypeError("need at least 3 scales")
     _app_flags(args)
+    # Every scale's config is checked before the first experiment runs.
+    cfgs = [_config(args.app, args, scale) for scale in scales]
     results = []
-    for i, scale in enumerate(scales, 1):
+    for i, (scale, cfg) in enumerate(zip(scales, cfgs), 1):
         t0 = time.perf_counter()
-        results.append(_experiment(args.app, args, scale))
+        results.append(_experiment(args.app, args, cfg))
         print(f"# rates {args.app} scale={scale:.15g} ({i}/{len(scales)}) "
               f"{time.perf_counter() - t0:.2f} s", file=sys.stderr)
     key = "tv" if args.metric == "tv" else "loc"

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import LatticePMF, empirical_pmf, loc_distance, tv_distance
-from .binomial import CenteringParams, centering_params, centered_binomial, \
-    check_variance
+from .binomial import centering_params, centered_binomial, check_variance
 
 BOOTSTRAP_RESAMPLES = 200
 # Rate fits drop points whose distance is within this factor of the floor.
@@ -78,7 +77,6 @@ class ExperimentResult:
     seed: int
     empirical: LatticePMF
     sigma2_used: float
-    params: CenteringParams
     tv: float
     tv_ci: tuple[float, float]
     loc: float
@@ -114,15 +112,14 @@ def run_experiment(sampler, cfg: dict, reps: int, seed: int,
     t0 = time.perf_counter()
     samples = np.asarray(sampler(cfg, reps, seed), dtype=float)
     emp = empirical_pmf(samples, anchor)
-    cp = centering_params(sigma2, anchor)
-    ref = centered_binomial(cp)
+    ref = centered_binomial(centering_params(sigma2, anchor))
     tv = tv_distance(emp, ref)
     loc = loc_distance(emp, ref)
     tv_bs, loc_bs = _bootstrap(emp, ref, reps, seed)
     tvf, locf = noise_floor(ref, reps)
     return ExperimentResult(
         config_echo=cfg, reps=reps, seed=seed, empirical=emp,
-        sigma2_used=sigma2, params=cp, tv=tv,
+        sigma2_used=sigma2, tv=tv,
         tv_ci=(min(tv, tv_bs[0]), max(tv, tv_bs[1])),
         loc=loc, loc_ci=(min(loc, loc_bs[0]), max(loc, loc_bs[1])),
         tv_floor=tvf, loc_floor=locf,
@@ -168,12 +165,9 @@ def _bootstrap(emp: LatticePMF, ref: LatticePMF, reps: int, seed: int):
 
 @dataclass(frozen=True)
 class RateFit:
-    xs: list[float]
-    ys: list[float]
     slope: float
     slope_ci: tuple[float, float]
     intercept: float
-    dropped: list[float] = field(default_factory=list)
 
 
 def fit_rate(points) -> RateFit:
@@ -198,14 +192,14 @@ def fit_rate(points) -> RateFit:
         mask = np.arange(len(pts)) != i
         s, _ = np.polyfit(lx[mask], ly[mask], 1)
         loo.append(float(s))
-    return RateFit(xs=xs, ys=ys, slope=float(slope),
-                   slope_ci=(min(loo), max(loo)), intercept=float(intercept))
+    return RateFit(slope=float(slope), slope_ci=(min(loo), max(loo)),
+                   intercept=float(intercept))
 
 
-def filter_floor(points, floors, factor: float = FLOOR_DROP_FACTOR):
-    """Drop (scale, distance) points whose distance is within factor of the
-    corresponding noise floor."""
+def filter_floor(points, floors):
+    """Drop (scale, distance) points whose distance is within
+    FLOOR_DROP_FACTOR of the corresponding noise floor."""
     kept, dropped = [], []
     for (x, y), f in zip(points, floors):
-        (kept if y > factor * f else dropped).append((x, y))
+        (kept if y > FLOOR_DROP_FACTOR * f else dropped).append((x, y))
     return kept, dropped

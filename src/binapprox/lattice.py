@@ -8,7 +8,6 @@ functionals and convolutions in the package are expressed through the
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -57,9 +56,9 @@ class LatticePMF:
             raise ValueError("probs must be a nonempty 1-D array")
         if not (0.0 <= self.offset < 1.0):
             raise ValueError(f"offset must lie in [0,1), got {self.offset}")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > MASS_TOL:
+        if not np.all(p >= 0):
+            raise ValueError(f"probabilities must be nonnegative, got {p.min()}")
+        if not abs(p.sum() - 1.0) <= MASS_TOL:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         if p[0] == 0.0 or p[-1] == 0.0:
             raise ValueError("support must be trimmed (use make_pmf)")
@@ -104,8 +103,8 @@ def make_pmf(probs, min_index: int = 0, offset: float = 0.0,
         raise ValueError("probs must be a nonempty 1-D array")
     if renormalize:
         s = p.sum()
-        if s <= 0:
-            raise ValueError("total mass must be positive")
+        if not s > 0:
+            raise ValueError(f"total mass must be positive, got {s}")
         p /= s
     nz = np.flatnonzero(p)
     if nz.size == 0:
@@ -119,9 +118,9 @@ def point_mass(x: float) -> LatticePMF:
     return make_pmf([1.0], offset=x)
 
 
-def lattices_match(p: LatticePMF, q: LatticePMF, tol: float = LATTICE_TOL) -> bool:
+def lattices_match(p: LatticePMF, q: LatticePMF) -> bool:
     d = (p.offset - q.offset) % 1.0
-    return d < tol or d > 1.0 - tol
+    return d < LATTICE_TOL or d > 1.0 - LATTICE_TOL
 
 
 def _aligned(p: LatticePMF, q: LatticePMF) -> tuple[np.ndarray, np.ndarray]:
@@ -163,13 +162,11 @@ def convolve(p: LatticePMF, q: LatticePMF) -> LatticePMF:
                     p.offset + q.offset, renormalize=True)
 
 
-def convolve_all(pmfs: list[LatticePMF], support_cap: int | None = None) -> LatticePMF:
+def convolve_all(pmfs: list[LatticePMF]) -> LatticePMF:
     if not pmfs:
         raise ValueError("need at least one pmf")
     out = pmfs[0]
     for p in pmfs[1:]:
-        if support_cap is not None and len(out) + len(p) - 1 > support_cap:
-            raise ValueError(f"convolution support would exceed cap {support_cap}")
         out = convolve(out, p)
     return out
 
@@ -205,27 +202,3 @@ def empirical_pmf(samples, anchor: float) -> LatticePMF:
     idx = idx.astype(np.int64)
     lo = int(idx.min())
     return make_pmf(np.bincount(idx - lo), lo, anchor, renormalize=True)
-
-
-# -- serialization ------------------------------------------------------
-
-
-def pmf_to_csv(p: LatticePMF) -> str:
-    buf = io.StringIO()
-    buf.write(f"# offset={p.offset!r} min_index={p.min_index}\n")
-    buf.write("index,position,prob\n")
-    for k, (pos, pr) in enumerate(zip(p.positions, p.probs)):
-        buf.write(f"{k},{float(pos)!r},{float(pr)!r}\n")
-    return buf.getvalue()
-
-
-def pmf_from_csv(text: str) -> LatticePMF:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0]
-    if not header.startswith("#"):
-        raise ValueError("missing header comment")
-    fields = dict(tok.split("=") for tok in header[1:].split())
-    offset = float(fields["offset"])
-    min_index = int(fields["min_index"])
-    probs = [float(ln.split(",")[2]) for ln in lines[2:]]
-    return LatticePMF(offset, min_index, np.asarray(probs))

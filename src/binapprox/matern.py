@@ -42,7 +42,10 @@ class MaternConfig:
 
     @classmethod
     def from_intensity_product(cls, d: int, lam: float, a: float) -> "MaternConfig":
-        return cls(d=d, lam=lam, r=(a / lam) ** (1.0 / d))
+        # Where (a/lam)^(1/d) is no real number, __post_init__ refuses the
+        # bad field by its own message.
+        real = d >= 1 and lam > 0 and a >= 0
+        return cls(d=d, lam=lam, r=(a / lam) ** (1.0 / d) if real else math.nan)
 
 
 def thin_pattern(points: np.ndarray, r: float) -> np.ndarray:

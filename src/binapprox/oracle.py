@@ -25,8 +25,11 @@ DENSE_DP_CAP = 10 ** 4
 
 
 def exact_sum_pmf(summands: list[LatticePMF]) -> LatticePMF:
-    """Full convolution of independent summands, capped at 1e6 atoms."""
-    return convolve_all(summands, support_cap=SUPPORT_CAP)
+    """Full convolution of independent summands.  A sum whose support would
+    exceed SUPPORT_CAP atoms is refused before the first convolution."""
+    if sum(len(s) - 1 for s in summands) + 1 > SUPPORT_CAP:
+        raise ValueError(f"convolution support would exceed cap {SUPPORT_CAP}")
+    return convolve_all(summands)
 
 
 @dataclass(frozen=True)

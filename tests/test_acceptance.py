@@ -154,6 +154,7 @@ def rscan_sweep():
             for n in RSCAN_SCALES]
 
 
+@pytest.mark.slow
 def test_acceptance_6_rscan_rate_reproduction(rscan_sweep):
     detail = "; ".join(
         f"n={n}: tv={res.tv:.5f} floor={res.tv_floor:.5f} "
@@ -178,6 +179,7 @@ def matern_sweep():
             for lam in MATERN_SCALES]
 
 
+@pytest.mark.slow
 def test_acceptance_7_matern_rate_reproduction(matern_sweep):
     for lam, res in zip(MATERN_SCALES, matern_sweep):
         cfg = MaternConfig.from_intensity_product(1, lam, 1.0)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from binapprox.binomial import (BinomialParams, binomial_logpmf, binomial_pmf,
+from binapprox.binomial import (BinomialParams, Inapplicable,
+                                binomial_logpmf, binomial_pmf,
                                 centered_binomial, centering_params,
-                                ehm_bound, shift_bound,
+                                check_variance, ehm_bound, shift_bound,
                                 shift_distance_exact, stein_residual,
                                 stein_solution, sup_norm_bound)
 
@@ -58,6 +59,8 @@ class TestCenteringParams:
     def test_rejects_small_variance(self):
         with pytest.raises(ValueError):
             centering_params(1.0, 0.0)
+        with pytest.raises(Inapplicable, match="got nan"):
+            check_variance(math.nan)
 
     def test_t_range(self):
         rng = np.random.default_rng(5)

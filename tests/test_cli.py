@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binapprox import bounds, cli
+from binapprox import bounds, cli, oracle
 from binapprox.lattice import make_pmf
 from binapprox.cli import (EXIT_INAPPLICABLE, EXIT_INTERNAL, EXIT_OK,
                           EXIT_USAGE, main)
@@ -72,6 +73,21 @@ class TestBoundCommand:
         path.write_text(json.dumps(doc))
         assert main(["bound", str(path)]) == EXIT_INAPPLICABLE
 
+    @pytest.mark.parametrize("doc,extra,code", [
+        ({"kind": "independent", "summands": [
+            {"offset": 0.0, "min_index": -1, "probs": [0.25, math.nan, 0.25]}
+        ] * 8}, [], EXIT_USAGE),
+        ({"kind": "local_dependence", "sigma2": math.nan, "anchor": 0.0,
+          "terms": []}, [], EXIT_INAPPLICABLE),
+        ({"kind": "point_process", "terms": []}, ["--sigma2", "nan"],
+         EXIT_INAPPLICABLE)], ids=["independent", "local", "point_process"])
+    def test_nan_spec_refused(self, tmp_path, capsys, doc, extra, code):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bound", str(path)] + extra) == code
+        out, err = capsys.readouterr()
+        assert out == "" and "got nan" in err
+
     def test_independent_theta_sum_exact(self, tmp_path):
         # The printed theta sum is the sum itself, not a value back-solved
         # from the bound (which differs in the last bits for this spec).
@@ -110,6 +126,18 @@ class TestExactCommand:
                      "--p", "0.4"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "n=10001" in err and "cap of 10000" in err
+
+    def test_poisson_binomial_past_support_cap(self, monkeypatch, capsys):
+        # Refused before the first convolution, not after 10**6 of them.
+        monkeypatch.setattr(oracle, "convolve_all", None)
+        assert main(["exact", "poisson-binomial", "--n", "2000000",
+                     "--p", "0.3"]) == EXIT_USAGE
+        assert "exceed cap 1000000" in capsys.readouterr().err
+
+    def test_poisson_binomial_nan_p(self, capsys):
+        assert main(["exact", "poisson-binomial", "--n", "10",
+                     "--p", "nan"]) == EXIT_USAGE
+        assert "got nan" in capsys.readouterr().err
 
     def test_poisson_binomial_pass(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -160,6 +188,15 @@ class TestExperimentCommands:
             assert line.endswith(" s")
         assert "# rates matern" not in out
 
+    def test_rates_checks_every_scale_first(self, capsys):
+        # No scale runs, and no progress line is printed, before the bad one
+        # is refused.
+        assert main(["rates", "--app", "matern", "--scales", "100", "200",
+                     "inf", "--reps", "200"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: need lam > 0 and finite, got inf\n"
+
     def test_small_variance_inapplicable(self):
         assert main(["rscan", "--n", "10", "--r", "2", "--a", "0.05",
                      "--reps", "100"]) == EXIT_INAPPLICABLE
@@ -182,7 +219,8 @@ class TestExperimentCommands:
     def test_rates_rscan_rejects_fractional_scale(self, capsys):
         assert main(["rates", "--app", "rscan", "--scales", "400", "800.7",
                      "1600", "--reps", "100"]) == EXIT_USAGE
-        assert "800.7" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "800.7" in err and "# rates" not in err
 
     def test_rates_matern_accepts_default_dist(self, tmp_path):
         out = tmp_path / "out.csv"

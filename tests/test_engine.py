@@ -111,9 +111,39 @@ class TestFilterFloor:
         assert kept == [(1.0, 0.10), (3.0, 0.30)]
         assert dropped == [(2.0, 0.02)]
 
-    def test_custom_factor(self):
-        kept, dropped = filter_floor([(1.0, 0.05)], [0.01], factor=10.0)
-        assert kept == [] and dropped == [(1.0, 0.05)]
+
+class TestSampleChunked:
+    """sample_chunked under a 100-draw chunk, with a sampler that records
+    each chunk's size and seed and draws from that seed."""
+
+    @pytest.mark.parametrize("draws_per_rep,reps,sizes", [
+        (10.0, 23, [10, 10, 3]),        # ragged last chunk
+        (math.inf, 4, [1, 1, 1, 1]),    # one rep per chunk
+        (300.0, 2, [1, 1]),             # a rep wider than a chunk
+        (0.25, 250, [100, 100, 50])])   # draws_per_rep clamped to 1
+    def test_chunk_sizes_and_seeds(self, monkeypatch, draws_per_rep, reps,
+                                   sizes):
+        monkeypatch.setattr(engine, "CHUNK_DRAWS", 100)
+        calls = []
+
+        def sampler(m, seed_seq):
+            calls.append((m, seed_seq))
+            return np.random.default_rng(seed_seq).random(m)
+
+        out = engine.sample_chunked(sampler, reps, 7, draws_per_rep)
+        assert [m for m, _ in calls] == sizes
+        children = np.random.SeedSequence(7).spawn(len(sizes))
+        for (_, got), want in zip(calls, children):
+            np.testing.assert_array_equal(got.generate_state(4),
+                                          want.generate_state(4))
+        np.testing.assert_array_equal(out, np.concatenate(
+            [np.random.default_rng(c).random(m)
+             for c, m in zip(children, sizes)]))
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_rejects_no_reps(self, reps):
+        with pytest.raises(ValueError, match="reps >= 1"):
+            engine.sample_chunked(lambda m, s: np.zeros(m), reps, 0, 1.0)
 
 
 # One full-size chunk of each kernel: r-scan n=6400, r=2 (3124 reps of 6401

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binapprox.lattice import (LatticeMismatchError, OffLatticeSampleError,
-                               convolve, convolve_all, empirical_pmf,
-                               loc_distance, make_pmf, pmf_from_csv,
-                               pmf_to_csv, point_mass, smoothness_functional,
-                               tv_distance)
+from binapprox.lattice import (LatticeMismatchError, LatticePMF,
+                               OffLatticeSampleError, convolve, convolve_all,
+                               empirical_pmf, loc_distance, make_pmf,
+                               point_mass, smoothness_functional, tv_distance)
 from binapprox.binomial import BinomialParams, binomial_pmf
 
 
@@ -190,21 +189,6 @@ class TestEmpiricalPMF:
         assert tv_distance(emp, exact) < 0.005
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        p = make_pmf([0.25, 0.5, 0.25], min_index=-3, offset=0.5)
-        q = pmf_from_csv(pmf_to_csv(p))
-        assert q.offset == p.offset
-        assert q.min_index == p.min_index
-        np.testing.assert_array_equal(q.probs, p.probs)
-
-    def test_round_trip_irrational_probs(self):
-        w = np.asarray([math.pi, math.e, 1.0])
-        p = make_pmf(w / w.sum())
-        q = pmf_from_csv(pmf_to_csv(p))
-        np.testing.assert_allclose(q.probs, p.probs, rtol=0, atol=1e-15)
-
-
 class TestValidation:
     def test_negative_prob_rejected(self):
         with pytest.raises(ValueError):
@@ -213,6 +197,12 @@ class TestValidation:
     def test_mass_must_sum_to_one(self):
         with pytest.raises(ValueError):
             make_pmf([0.5, 0.4])
+
+    def test_nan_prob_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            LatticePMF(0.0, 0, np.array([math.nan, 1.0]))
+        with pytest.raises(ValueError, match="positive, got nan"):
+            make_pmf([math.nan, math.nan], renormalize=True)
 
     def test_trimming(self):
         p = make_pmf([0.0, 1.0, 0.0], min_index=0)

@@ -34,6 +34,13 @@ class TestConfig:
         for lam in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"need lam > 0.*got {lam}"):
                 MaternConfig(d=1, lam=lam, r=0.01)
+        # from_intensity_product leaves a bad field to the constructor,
+        # without dividing by zero or raising to a complex power first.
+        for args, match in (((0, 100.0, 1.0), "need d >= 1"),
+                            ((1, 0.0, 1.0), "need lam > 0"),
+                            ((2, 100.0, -1.0), "need 0 < r")):
+            with pytest.raises(ValueError, match=match):
+                MaternConfig.from_intensity_product(*args)
 
     def test_cli_rejects_nan_intensity_without_warning(self, capsys):
         with warnings.catch_warnings():
@@ -42,6 +49,18 @@ class TestConfig:
                              "--r", "0.01"])
         assert code == cli.EXIT_USAGE
         assert "need lam > 0 and finite, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["matern", "--d", "1", "--lam", "0", "--a", "1"],
+         "need lam > 0 and finite, got 0.0"),
+        (["matern", "--d", "0", "--lam", "100", "--a", "1"], "need d >= 1"),
+        (["rates", "--app", "matern", "--scales", "0", "400", "800"],
+         "need lam > 0 and finite, got 0.0")])
+    def test_cli_intensity_product_rejects_bad_fields(self, capsys, argv,
+                                                      message):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 def dense_thin(pts, r):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from binapprox import oracle
 from binapprox.bounds import decomposition_bound, local_dependence_bound
 from binapprox.lattice import (make_pmf, smoothness_functional, tv_distance)
 from binapprox.oracle import (TwoRunsModel, _window_moments,
@@ -24,6 +25,17 @@ class TestExactSumPMF:
         wide = make_pmf(np.full(700_000, 1.0 / 700_000))
         with pytest.raises(ValueError):
             exact_sum_pmf([wide, wide])
+
+    def test_cap_checked_before_convolving(self, monkeypatch):
+        # 10**6 - 1 Bernoullis fill the cap exactly; one more exceeds it.
+        calls = []
+        monkeypatch.setattr(oracle, "convolve_all", calls.append)
+        b = make_pmf([0.5, 0.5])
+        exact_sum_pmf([b] * (oracle.SUPPORT_CAP - 1))
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="exceed cap 1000000"):
+            exact_sum_pmf([b] * oracle.SUPPORT_CAP)
+        assert len(calls) == 1
 
 
 class TestTwoRunsPMF:
