@@ -70,8 +70,8 @@ class Inapplicable(ValueError):
 
 
 def check_variance(sigma2: float) -> None:
-    """Every centered-binomial approximation needs variance > 1."""
-    if not sigma2 > 1.0:
+    """Every centered-binomial approximation needs a finite variance > 1."""
+    if not 1.0 < sigma2 < math.inf:
         raise Inapplicable(f"variance must exceed 1, got {sigma2}")
 
 

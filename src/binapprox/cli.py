@@ -16,6 +16,7 @@ import argparse
 import sys
 import time
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds as _bounds
 from . import matern as _matern
@@ -154,12 +155,18 @@ def cmd_rates(args) -> int:
     _app_flags(args)
     # Every scale's config is checked before the first experiment runs.
     cfgs = [_config(args.app, args, scale) for scale in scales]
+    # The scales run together, one thread each, so their chunks share the
+    # engine's chunk pool; results and progress lines come in scale order,
+    # and the first failing scale's error is raised with no line for it.
+    t0 = time.perf_counter()
     results = []
-    for i, (scale, cfg) in enumerate(zip(scales, cfgs), 1):
-        t0 = time.perf_counter()
-        results.append(_experiment(args.app, args, cfg))
-        print(f"# rates {args.app} scale={scale:.15g} ({i}/{len(scales)}) "
-              f"{time.perf_counter() - t0:.2f} s", file=sys.stderr)
+    with ThreadPoolExecutor(len(cfgs)) as pool:
+        futures = [pool.submit(_experiment, args.app, args, cfg)
+                   for cfg in cfgs]
+        for i, (scale, future) in enumerate(zip(scales, futures), 1):
+            results.append(future.result())
+            print(f"# rates {args.app} scale={scale:.15g} ({i}/{len(scales)}) "
+                  f"{time.perf_counter() - t0:.2f} s", file=sys.stderr)
     key = "tv" if args.metric == "tv" else "loc"
     points = [(float(s), getattr(r, key)) for s, r in zip(scales, results)]
     floors = [r.tv_floor if key == "tv" else r.loc_floor for r in results]

@@ -12,7 +12,9 @@ exact mean and variance, and its assembled bound.
 from __future__ import annotations
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +32,18 @@ CHUNK_DRAWS = 2 * 10 ** 7
 # Base draws a chunk kernel holds at once: the working-set unit.  A kernel
 # walks its chunk's reps in blocks of block_reps rows and reuses the block
 # buffers; consecutive fills of one Generator give the values of one big
-# fill, so the block size moves no output bit.  2**18 float32 draws are
-# 1 MB, and a full chunk peaks at a few MB.
-BLOCK_DRAWS = 2 ** 18
+# fill, so the block size moves no output bit.  An r-scan block of 2**17
+# draws holds about 1.1 MB of buffers, which fits one core's L2 cache, and
+# a full chunk peaks at a few MB.
+BLOCK_DRAWS = 2 ** 17
+
+# The process-wide chunk pool, one worker per CPU this process may use; its
+# threads start on first use.  It alone bounds how many chunk kernels (and so
+# their buffers) are live at once, however many threads call sample_chunked.
+# Generator fills and the kernels' ufuncs release the GIL, so the workers run
+# in parallel.  A chunk kernel must never call sample_chunked itself: waiting
+# on the pool from inside it could deadlock.
+_CHUNK_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
 
 
 def sample_chunked(chunk_sampler, reps: int, seed: int,
@@ -41,19 +52,18 @@ def sample_chunked(chunk_sampler, reps: int, seed: int,
     CHUNK_DRAWS base draws.
 
     chunk_sampler(m, seed_seq) returns m draws; chunk k gets the k-th child
-    of SeedSequence(seed).  draws_per_rep=math.inf gives one rep per chunk.
+    of SeedSequence(seed).  The chunks run on the process-wide chunk pool and
+    are concatenated in chunk order, so the result does not depend on how
+    they are scheduled.  draws_per_rep=math.inf gives one rep per chunk.
     """
     if reps < 1:
         raise ValueError("need reps >= 1")
     chunk_reps = max(1, int(CHUNK_DRAWS / max(draws_per_rep, 1.0)))
-    root = np.random.SeedSequence(entropy=seed)
-    out = []
-    done = 0
-    for child in root.spawn(-(-reps // chunk_reps)):
-        m = min(chunk_reps, reps - done)
-        out.append(chunk_sampler(m, child))
-        done += m
-    return np.concatenate(out)
+    full, rest = divmod(reps, chunk_reps)
+    sizes = [chunk_reps] * full + ([rest] if rest else [])
+    children = np.random.SeedSequence(entropy=seed).spawn(len(sizes))
+    return np.concatenate(list(_CHUNK_POOL.map(chunk_sampler, sizes,
+                                               children)))
 
 
 def block_reps(draws_per_rep: float) -> int:

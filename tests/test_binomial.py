@@ -62,6 +62,10 @@ class TestCenteringParams:
         with pytest.raises(Inapplicable, match="got nan"):
             check_variance(math.nan)
 
+    def test_rejects_infinite_variance(self):
+        with pytest.raises(Inapplicable, match="got inf"):
+            check_variance(math.inf)
+
     def test_t_range(self):
         rng = np.random.default_rng(5)
         for _ in range(100):

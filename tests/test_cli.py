@@ -88,6 +88,15 @@ class TestBoundCommand:
         out, err = capsys.readouterr()
         assert out == "" and "got nan" in err
 
+    def test_inf_sigma2_refused(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps({"kind": "local_dependence",
+                                    "sigma2": math.inf, "anchor": 0.0,
+                                    "terms": []}))
+        assert main(["bound", str(path)]) == EXIT_INAPPLICABLE
+        out, err = capsys.readouterr()
+        assert out == "" and "got inf" in err
+
     def test_independent_theta_sum_exact(self, tmp_path):
         # The printed theta sum is the sum itself, not a value back-solved
         # from the bound (which differs in the last bits for this spec).
@@ -187,6 +196,17 @@ class TestExperimentCommands:
             assert line.startswith(f"# rates matern {tag} ")
             assert line.endswith(" s")
         assert "# rates matern" not in out
+
+    def test_rates_failing_scale_prints_no_progress(self, capsys):
+        # Only n = 10 has variance <= 1.  The later scales run alongside it,
+        # but its error is raised and no scale gets a progress line.
+        assert main(["rates", "--app", "rscan", "--r", "2", "--a", "0.05",
+                     "--scales", "10", "2000", "4000",
+                     "--reps", "200"]) == EXIT_INAPPLICABLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("inapplicable: variance must exceed 1")
+        assert "# rates" not in err
 
     def test_rates_checks_every_scale_first(self, capsys):
         # No scale runs, and no progress line is printed, before the bad one

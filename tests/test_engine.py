@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -131,6 +133,9 @@ class TestSampleChunked:
             return np.random.default_rng(seed_seq).random(m)
 
         out = engine.sample_chunked(sampler, reps, 7, draws_per_rep)
+        # The pool may start chunks in any order; chunk k is the one seeded
+        # with the k-th child.
+        calls.sort(key=lambda call: call[1].spawn_key)
         assert [m for m, _ in calls] == sizes
         children = np.random.SeedSequence(7).spawn(len(sizes))
         for (_, got), want in zip(calls, children):
@@ -144,6 +149,102 @@ class TestSampleChunked:
     def test_rejects_no_reps(self, reps):
         with pytest.raises(ValueError, match="reps >= 1"):
             engine.sample_chunked(lambda m, s: np.zeros(m), reps, 0, 1.0)
+
+
+# Small configs of every chunk kernel, each split into at least 8 chunks:
+# (simulate_counts, its chunk kernel, reps, reps per chunk, draws per rep).
+RSCAN_EXP = rscan.RScanConfig(n=60, r=3, a=1.5)
+RSCAN_UNIF = rscan.RScanConfig(n=60, r=3, a=1.2, base_dist="uniform01")
+MATERN_1D = matern.MaternConfig.from_intensity_product(1, 100.0, 1.0)
+MATERN_2D = matern.MaternConfig.from_intensity_product(2, 60.0, 0.5)
+POOL_CASES = {
+    "rscan_exponential": (
+        lambda reps, seed: rscan.simulate_counts(RSCAN_EXP, reps, seed),
+        lambda m, child: rscan._simulate_chunk(RSCAN_EXP, m, child),
+        230, 25, 62),
+    "rscan_uniform01": (
+        lambda reps, seed: rscan.simulate_counts(RSCAN_UNIF, reps, seed),
+        lambda m, child: rscan._simulate_chunk(RSCAN_UNIF, m, child),
+        230, 25, 62),
+    "matern_1d": (
+        lambda reps, seed: matern.simulate_counts(MATERN_1D, reps, seed),
+        lambda m, child: matern._counts_chunk_1d(MATERN_1D, m, child),
+        190, 20, 100),
+    "matern_2d": (   # one rep per chunk at any CHUNK_DRAWS
+        lambda reps, seed: matern.simulate_counts(MATERN_2D, reps, seed),
+        lambda m, child: np.array(
+            [len(matern.simulate_pattern(MATERN_2D, child))], dtype=np.int64),
+        9, 1, math.inf),
+}
+
+
+def serial_chunks(kernel, reps, seed, chunk_reps):
+    """The chunks of sample_chunked run one after another, in order."""
+    children = np.random.SeedSequence(seed).spawn(-(-reps // chunk_reps))
+    return np.concatenate([kernel(min(chunk_reps, reps - k * chunk_reps), c)
+                           for k, c in enumerate(children)])
+
+
+def use_chunk_reps(monkeypatch, chunk_reps, draws_per_rep):
+    if draws_per_rep < math.inf:
+        monkeypatch.setattr(engine, "CHUNK_DRAWS", chunk_reps * draws_per_rep)
+
+
+class TestChunkPool:
+    """sample_chunked on the chunk pool gives the bits of the serial loop."""
+
+    @pytest.mark.parametrize("name", list(POOL_CASES))
+    def test_same_bits_as_serial(self, monkeypatch, name):
+        simulate, kernel, reps, chunk_reps, draws_per_rep = POOL_CASES[name]
+        use_chunk_reps(monkeypatch, chunk_reps, draws_per_rep)
+        assert -(-reps // chunk_reps) >= 8
+        got = simulate(reps, 11)
+        want = serial_chunks(kernel, reps, 11, chunk_reps)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_chunk_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(engine, "CHUNK_DRAWS", 10)
+
+        def sampler(m, seed_seq):
+            if seed_seq.spawn_key == (3,):
+                raise RuntimeError("chunk 3 failed")
+            return np.random.default_rng(seed_seq).random(m)
+
+        with pytest.raises(RuntimeError, match="chunk 3 failed"):
+            engine.sample_chunked(sampler, 100, 5, 1.0)
+        good = lambda m, seed_seq: np.random.default_rng(seed_seq).random(m)
+        np.testing.assert_array_equal(
+            engine.sample_chunked(good, 100, 5, 1.0),
+            serial_chunks(good, 100, 5, 10))
+
+    def test_concurrent_callers(self, monkeypatch):
+        # More calling threads than CPUs, switching often, as when rates
+        # runs its scales together: every caller gets its own seed's bits.
+        simulate, kernel, reps, chunk_reps, draws_per_rep = POOL_CASES[
+            "rscan_exponential"]
+        use_chunk_reps(monkeypatch, chunk_reps, draws_per_rep)
+        seeds = range(6)
+        results = {}
+
+        def call(seed):
+            results[seed] = simulate(reps, seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(s,))
+                       for s in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in seeds:
+            np.testing.assert_array_equal(
+                results[seed], serial_chunks(kernel, reps, seed, chunk_reps))
 
 
 # One full-size chunk of each kernel: r-scan n=6400, r=2 (3124 reps of 6401

@@ -148,8 +148,9 @@ def one_shot_counts(cfg, reps, seed_seq):
 
 class TestSimulateChunk:
     # With n=30, a block of 100 draws holds 2 or 3 rows, so 11 reps end on a
-    # ragged block; a block of 20 draws is narrower than one row.
-    @pytest.mark.parametrize("block", [20, 100, engine.BLOCK_DRAWS])
+    # ragged block; a block of 20 draws is narrower than one row, and one of
+    # 2**18 draws holds all 11 rows, as a BLOCK_DRAWS block does.
+    @pytest.mark.parametrize("block", [20, 100, 2 ** 18])
     @pytest.mark.parametrize("r", [1, 2, 8])
     @pytest.mark.parametrize("dist", ["exponential", "uniform01"])
     def test_blocks_equal_one_shot_draw(self, dist, r, block, monkeypatch):
