@@ -18,6 +18,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads these on first use; importing them here keeps that cost out of
+# the first experiment: the chunk seeds need numpy.random, and np.percentile
+# reaches numpy.ma through np.unique.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .lattice import LatticePMF, empirical_pmf, loc_distance, tv_distance
 from .binomial import centering_params, centered_binomial, check_variance

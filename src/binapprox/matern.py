@@ -13,13 +13,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from numpy.polynomial.legendre import leggauss
 
 from .bounds import block_smoothing_constant, bound_from_theta
 from .engine import block_reps, count_experiment, sample_chunked
 
 MAX_EXACT_DIM = 3
 QUAD_NODES = 64
+_GL_X, _GL_W = leggauss(QUAD_NODES)
+# The first-axis window of thin_pattern is this many ulps wider than r/2,
+# so that rounding in the exact torus test cannot hide a close pair.
+WINDOW_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -51,14 +55,33 @@ class MaternConfig:
 def thin_pattern(points: np.ndarray, r: float) -> np.ndarray:
     """Keep the points with no other point in their closed side-r cube.
 
-    Close pairs come from a periodic KD-tree, so every coordinate must lie
-    in [0, 1); the tree raises ValueError for any other coordinate.
+    A sweep along the first axis: after sorting on it, each point's
+    candidates are its cyclic successors within r/2 there, and the torus
+    test min(|x - y|, 1 - |x - y|) <= r/2 on every axis decides.  Every
+    coordinate must lie in [0, 1); any other raises ValueError.
     """
     pts = np.asarray(points, dtype=float)
-    pairs = cKDTree(pts, boxsize=1.0).query_pairs(r / 2.0, p=np.inf,
-                                                  output_type="ndarray")
-    keep = np.ones(pts.shape[0], dtype=bool)
-    keep[pairs.ravel()] = False
+    if not ((pts >= 0.0) & (pts < 1.0)).all():
+        raise ValueError("every coordinate must lie in [0, 1)")
+    k, h = pts.shape[0], r / 2.0
+    order = np.argsort(pts[:, 0])
+    first = pts[order, 0]
+    # Candidates of sorted point i: positions i+1 .. stop-1 of the first
+    # coordinates followed by the same + 1, so the window wraps the seam,
+    # but never reaches the point's own copy.
+    reach = (first + h) * (1.0 + WINDOW_ULPS * np.finfo(float).eps)
+    idx = np.arange(k)
+    stop = np.minimum(np.searchsorted(np.concatenate((first, first + 1.0)),
+                                      reach, side="right"), idx + k)
+    count = stop - idx - 1
+    i = np.repeat(idx, count)
+    j = (i + 1 + np.arange(i.size) - np.repeat(np.cumsum(count) - count,
+                                                count)) % k
+    gap = np.abs(pts[order[i]] - pts[order[j]])
+    close = (np.minimum(gap, 1.0 - gap) <= h).all(axis=1)
+    keep = np.ones(k, dtype=bool)
+    keep[order[i[close]]] = False
+    keep[order[j[close]]] = False
     return pts[keep]
 
 
@@ -127,9 +150,8 @@ def _second_moment_integral(cfg: MaternConfig) -> float:
     # Integrate over the positive orthant of each cube and scale by 2^d;
     # the integrand is smooth there (no |x| kink).
     def cube_integral(half_side: float) -> float:
-        nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
-        x = 0.5 * half_side * (nodes + 1.0)
-        w = 0.5 * half_side * weights
+        x = 0.5 * half_side * (_GL_X + 1.0)
+        w = 0.5 * half_side * _GL_W
         grids = np.meshgrid(*([x] * d), indexing="ij")
         overlap = np.ones_like(grids[0])
         for g in grids:

@@ -12,12 +12,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from numpy.polynomial.legendre import leggauss
 
 from .bounds import block_smoothing_constant, bound_from_theta
 from .engine import block_reps, count_experiment, sample_chunked
 
 BASE_DISTS = ("exponential", "uniform01")
+# Gauss-Legendre rule for psi, one per panel.  On the uniform base psi's
+# integrand is a polynomial of degree <= 2r - 2 on each panel, which this
+# rule integrates exactly for r <= GL_NODES.
+GL_NODES = 32
+_GL_X, _GL_W = leggauss(GL_NODES)
+# An upper Poisson tail sum stops at the first term below this share of
+# its first term.
+TAIL_RTOL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -38,38 +46,88 @@ class RScanConfig:
             raise ValueError(f"base_dist must be one of {BASE_DISTS}")
 
 
-def _irwin_hall(x: float, m: int, power: int) -> float:
-    """Irwin-Hall cdf (power m) or pdf (power m-1) of m uniforms, 0 < x < m."""
-    total = 0.0
-    for k in range(int(math.floor(x)) + 1):
-        total += (-1) ** k * math.comb(m, k) * (x - k) ** power
+def _irwin_hall(x: np.ndarray, m: int, power: int) -> np.ndarray:
+    """Irwin-Hall cdf (power m) or pdf (power m-1) of m uniforms, at each
+    0 <= x <= m."""
+    total = np.zeros_like(x)
+    for k in range(m):
+        coef = float((-1) ** k * math.comb(m, k))
+        total += np.where(x >= k, coef * (x - k) ** power, 0.0)
     return total / math.factorial(power)
 
 
-def _window_cdf(cfg: RScanConfig, x: float, m: int) -> float:
-    """CDF of the sum of m >= 1 base variables."""
-    if x <= 0:
-        return 0.0
-    if cfg.base_dist == "exponential":
-        return float(special.gammainc(m, x))
-    return _irwin_hall(x, m, m) if x < m else 1.0
+def _gamma_cdf(x: np.ndarray, m: int) -> np.ndarray:
+    """P[Gamma(m, 1) <= x] = P[Poisson(x) >= m], for integer m >= 1.
+
+    Below x = m it is the upper Poisson tail, summed from k = m up; from
+    x = m on, one minus the lower tail, summed from k = m - 1 down.  Either
+    way each term is the one before times a ratio below 1, and the first is
+    taken in logs, so nothing cancels or underflows early.
+    """
+    out = np.empty_like(x)
+    up = x < m
+    xu, xl = x[up], x[~up]
+    # Upper-tail terms fall by x/k, slowest at the largest x: stop where
+    # that x's next term is below TAIL_RTOL of its first.
+    k, rest, top = m, 1.0, xu.max(initial=0.0)
+    while rest > TAIL_RTOL:
+        k += 1
+        rest *= top / k
+    with np.errstate(divide="ignore"):      # x = 0: a zero first term
+        first = np.exp(m * np.log(xu) - xu - math.lgamma(m + 1))
+    ratios = xu[:, None] / np.arange(m + 1.0, k + 1.0)
+    out[up] = first * (1.0 + np.cumprod(ratios, axis=1).sum(axis=1))
+    first = np.exp((m - 1) * np.log(xl) - xl - math.lgamma(m))
+    ratios = np.arange(m - 1.0, 0.0, -1.0) / xl[:, None]
+    out[~up] = 1.0 - first * (1.0 + np.cumprod(ratios, axis=1).sum(axis=1))
+    return out
 
 
-def _window_pdf(cfg: RScanConfig, x: float, m: int) -> float:
-    if x <= 0:
-        return 0.0
+def _window_cdf(cfg: RScanConfig, x: np.ndarray, m: int) -> np.ndarray:
+    """CDF of the sum of m >= 1 base variables, at each x."""
+    x = np.maximum(x, 0.0)
     if cfg.base_dist == "exponential":
-        return x ** (m - 1) * math.exp(-x) / math.factorial(m - 1)
-    return _irwin_hall(x, m, m - 1) if x < m else 0.0
+        return _gamma_cdf(x, m)
+    return np.where(x < m, _irwin_hall(np.minimum(x, m), m, m), 1.0)
+
+
+def _window_pdf(cfg: RScanConfig, x: np.ndarray, m: int) -> np.ndarray:
+    """Density of the sum of m >= 1 base variables, at each x > 0."""
+    if cfg.base_dist == "exponential":
+        return x ** (m - 1) * np.exp(-x) / math.factorial(m - 1)
+    return np.where(x < m, _irwin_hall(np.minimum(x, m), m, m - 1), 0.0)
 
 
 def _interval_prob(cfg: RScanConfig, lo: float, hi: float) -> float:
-    return max(_window_cdf(cfg, hi, 1) - _window_cdf(cfg, lo, 1), 0.0)
+    cdf = _window_cdf(cfg, np.array([lo, hi]), 1)
+    return max(float(cdf[1] - cdf[0]), 0.0)
 
 
 def exceedance_prob(cfg: RScanConfig) -> float:
     """P[one window sum <= a]."""
-    return _window_cdf(cfg, cfg.a, cfg.r)
+    return float(_window_cdf(cfg, np.array([cfg.a]), cfg.r)[0])
+
+
+def _psi_nodes(cfg: RScanConfig, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes and weights for psi's integral over the shared sum s.
+
+    On the uniform base the integrand is a polynomial between the integers
+    (the pieces of the Irwin-Hall pdf) and the points a - j (those of the
+    window cdf at a - s), so one Gauss-Legendre rule per piece is exact.  On
+    the Exp(1) base the integrand is smooth and the panels have unit width.
+    """
+    a = cfg.a
+    if cfg.base_dist == "exponential":
+        upper, cuts = a, np.arange(1.0, math.ceil(a))
+    else:
+        upper = min(a, cfg.r - d)
+        cuts = np.concatenate((np.arange(1.0, cfg.r - d),
+                               a - np.arange(d + 1.0)))
+    edges = np.unique(np.concatenate(
+        ([0.0, upper], cuts[(cuts > 0.0) & (cuts < upper)])))
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = edges[:-1, None] + half * (_GL_X + 1.0)
+    return nodes.ravel(), (half * _GL_W).ravel()
 
 
 def psi(cfg: RScanConfig, d: int) -> float:
@@ -82,19 +140,22 @@ def psi(cfg: RScanConfig, d: int) -> float:
     if not 1 <= d <= r - 1:
         raise ValueError(f"need 1 <= d <= r-1 = {r - 1}, got {d}")
     p = exceedance_prob(cfg)
-
-    def integrand(s):
-        return _window_pdf(cfg, s, r - d) * _window_cdf(cfg, cfg.a - s, d) ** 2
-
-    upper = cfg.a if cfg.base_dist == "exponential" else min(cfg.a, r - d)
-    joint, _ = integrate.quad(integrand, 0.0, upper, limit=200,
-                              epsabs=1e-13, epsrel=1e-11)
+    if p == 1.0:
+        # So is the co-exceedance.  This also bounds the Exp(1) panel count,
+        # about a: p < 1 needs a < 61 at r = 8, a < 215 at r = 100.
+        return 0.0
+    s, w = _psi_nodes(cfg, d)
+    joint = float(np.dot(w, _window_pdf(cfg, s, r - d)
+                         * _window_cdf(cfg, cfg.a - s, d) ** 2))
     return joint / p - p
 
 
 def variance_formula(cfg: RScanConfig) -> float:
-    """Closed-form variance of the exceedance count."""
+    """Closed-form variance of the exceedance count; exactly 0 where the
+    window law is degenerate (p is 0 or 1 in floating point)."""
     p = exceedance_prob(cfg)
+    if p in (0.0, 1.0):
+        return 0.0
     corr = sum((1.0 - d / cfg.n) * psi(cfg, d) for d in range(1, cfg.r))
     return cfg.n * p * (1.0 - p + 2.0 * corr)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,18 +32,56 @@ class TestBinomialPMF:
         n, prob = 10 ** 6, 0.3
         p = binomial_pmf(BinomialParams(n, prob))
         k = n * 3 // 10
-        expected = math.exp(
-            math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-            + k * math.log(prob) + (n - k) * math.log(1 - prob))
-        assert p.probs[k - p.min_index] == pytest.approx(expected, rel=1e-10)
+        expected = float(mpmath.exp(reference_logpmf(k, n, prob)))
+        assert p.probs[k - p.min_index] == pytest.approx(expected, rel=1e-12)
+
+
+def reference_logpmf(k: int, n: int, p: float):
+    """log P[Bi(n, p) = k] in 40-digit arithmetic, with p read exactly."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        return (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
+                - mpmath.loggamma(n - k + 1)
+                + k * mpmath.log(p) + (n - k) * mpmath.log1p(-p))
+
+
+def reference_points(n: int, p: float) -> np.ndarray:
+    """Every k up to n = 2000; above, 257 evenly spread k and 257 across
+    the mode's +-8 standard deviations."""
+    if n <= 2000:
+        return np.arange(n + 1)
+    sd = math.sqrt(n * p * (1.0 - p))
+    near = np.linspace(n * p - 8.0 * sd, n * p + 8.0 * sd, 257)
+    ks = np.concatenate((np.linspace(0, n, 257), near)).round()
+    return np.unique(ks.clip(0, n)).astype(np.int64)
 
 
 @pytest.mark.parametrize("n", [1, 10, 2000, 10 ** 4, 10 ** 5])
 @pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.97])
 def test_logpmf_bit_equal_to_scipy_stats(n, p):
-    from scipy import stats
+    # scipy.stats sums five lgamma/log terms, so it is exact only to within
+    # the rounding of that sum: about 3 eps times the terms' total magnitude
+    # (each term to 1 ulp, four additions to eps/2 of the running sum).  The
+    # saddle-point form is accurate to 1e-13 (test below), so on every k the
+    # two agree to within that bound, and bit for bit where scipy's sum
+    # rounds exactly.
+    from scipy import special, stats
     k = np.arange(n + 1)
-    assert np.array_equal(binomial_logpmf(k, n, p), stats.binom.logpmf(k, n, p))
+    ours, theirs = binomial_logpmf(k, n, p), stats.binom.logpmf(k, n, p)
+    scale = (special.gammaln(n + 1) + special.gammaln(k + 1)
+             + special.gammaln(n - k + 1) + np.abs(k * math.log(p))
+             + np.abs((n - k) * math.log1p(-p)))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(ours - theirs) <= 4.0 * eps * scale)
+
+
+@pytest.mark.parametrize("n", [1, 10, 2000, 10 ** 4, 10 ** 5])
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.97])
+def test_logpmf_matches_mpmath_reference(n, p):
+    k = reference_points(n, p)
+    ref = np.array([float(reference_logpmf(int(j), n, p)) for j in k])
+    err = np.abs(binomial_logpmf(k, n, p) - ref) / np.maximum(1.0, np.abs(ref))
+    assert err.max() <= 1e-13
 
 
 class TestCenteringParams:

@@ -298,3 +298,49 @@ def test_import_does_not_load_scipy_stats():
     code = ("import sys, binapprox.cli; "
             "sys.exit('scipy.stats' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+NO_LAZY_IMPORT_SCRIPT = """
+import contextlib, io, json, sys
+import binapprox.cli as cli
+from binapprox import bounds, oracle
+at_import = set(sys.modules)
+with open(sys.argv[1], "w") as fh:
+    fh.write(bounds.spec_to_json(oracle.two_runs_decomposable_spec(
+        oracle.TwoRunsModel(60, 0.4))))
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+loaded = [m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")]
+print(json.dumps({"codes": codes,
+                  "scipy": [m for m in loaded if m.startswith("scipy")],
+                  "late": [m for m in loaded if m not in at_import]}))
+"""
+
+
+def test_no_scipy_and_no_lazy_numpy_import(tmp_path):
+    # scipy is a test-only reference: no command loads it.  numpy loads some
+    # submodules on first use; binapprox imports them up front, so none is
+    # first loaded (and paid for) inside a command.
+    spec = tmp_path / "spec.json"
+    cases = [
+        ["rscan", "--n", "100", "--r", "2", "--a", "1.0", "--reps", "500"],
+        ["rscan", "--n", "60", "--r", "3", "--a", "1.5", "--dist",
+         "uniform01", "--reps", "500"],
+        ["matern", "--d", "1", "--lam", "50", "--a", "1.0", "--reps", "200"],
+        ["matern", "--d", "2", "--lam", "50", "--r", "0.1", "--reps", "5"],
+        ["rates", "--app", "rscan", "--scales", "100", "200", "400",
+         "--reps", "500"],
+        ["exact", "two-runs", "--n", "60", "--p", "0.4"],
+        ["exact", "poisson-binomial", "--n", "40", "--p", "0.3"],
+        ["bound", str(spec)],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", NO_LAZY_IMPORT_SCRIPT,
+                           str(spec), json.dumps(cases)],
+                          env=env, capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout)
+    assert report == {"codes": [EXIT_OK] * len(cases), "scipy": [],
+                      "late": []}

@@ -92,7 +92,34 @@ class TestThinPattern:
         assert np.array_equal(thin_pattern(pts, 0.1), dense_thin(pts, 0.1))
         assert thin_pattern(pts, 0.1).shape[0] == kept
 
-    @pytest.mark.parametrize("bad", [1.0, -0.25])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_periodic_kd_tree(self, d):
+        # 180 patterns per dimension.  Every other one has r = 1/16, so
+        # dyadic points sit exactly r/2 apart, on the first axis and across
+        # the seam of the last; each pattern also has a pair at 0.0 and
+        # nextafter(1, 0) on the first axis.
+        from scipy.spatial import cKDTree
+
+        rng = np.random.default_rng(41 + d)
+        for i in range(180):
+            lam = (5.0, 40.0, 200.0)[i % 3]
+            r = 1.0 / 16.0 if i % 2 else rng.uniform(0.2, 1.0) / 7.0
+            h = r / 2.0
+            pts = rng.random((rng.poisson(lam) + 6, d))
+            pts[:6] = rng.integers(0, 2 ** 10, (6, d)) / 2 ** 10
+            pts[1] = pts[0]
+            pts[1, 0] = (pts[0, 0] + h) % 1.0
+            pts[3] = pts[2]
+            pts[2, -1], pts[3, -1] = 1.0 - h / 2.0, h / 2.0
+            pts[5] = pts[4]
+            pts[4, 0], pts[5, 0] = 0.0, np.nextafter(1.0, 0.0)
+            pairs = cKDTree(pts, boxsize=1.0).query_pairs(
+                h, p=np.inf, output_type="ndarray")
+            keep = np.ones(len(pts), dtype=bool)
+            keep[pairs.ravel()] = False
+            assert np.array_equal(thin_pattern(pts, r), pts[keep])
+
+    @pytest.mark.parametrize("bad", [1.0, -0.25, math.nan])
     def test_rejects_coordinates_outside_unit_torus(self, bad):
         with pytest.raises(ValueError):
             thin_pattern(np.array([[0.5, 0.5], [bad, 0.5]]), 0.1)

@@ -6,9 +6,10 @@ import pytest
 
 from binapprox import cli, engine
 from binapprox.engine import fit_rate
-from binapprox.rscan import (RScanConfig, _simulate_chunk, empirical_distance,
-                             error_bound, exceedance_prob, psi,
-                             simulate_counts, variance_formula)
+from binapprox.rscan import (RScanConfig, _gamma_cdf, _simulate_chunk,
+                             empirical_distance, error_bound,
+                             exceedance_prob, psi, simulate_counts,
+                             variance_formula)
 
 
 def cfg_exp(n, r=2, a=1.0):
@@ -55,6 +56,51 @@ class TestExceedanceProb:
         assert ps == sorted(ps)
 
 
+class TestGammaCdf:
+    def test_matches_scipy_gammainc(self):
+        from scipy.special import gammainc
+
+        for m in range(1, 30):
+            x = np.concatenate((np.linspace(0.0, 60.0, 601),
+                                np.geomspace(1e-8, 60.0, 200),
+                                [m - 1e-9, m, m + 1e-9]))
+            ref = gammainc(m, x)
+            got = _gamma_cdf(x, m)
+            assert (np.abs(got - ref) <= 1e-13 * ref).all(), m
+
+
+def irwin_hall(x, m, power):
+    """Irwin-Hall cdf (power m) or pdf (power m-1) of m uniforms at scalar
+    x, 0 < x < m."""
+    return sum((-1) ** k * math.comb(m, k) * (x - k) ** power
+               for k in range(int(math.floor(x)) + 1)) / math.factorial(power)
+
+
+def quad_psi(cfg, d):
+    """psi by adaptive quadrature of the scalar window laws."""
+    from scipy import integrate, special
+
+    r, a, m = cfg.r, cfg.a, cfg.r - d
+    if cfg.base_dist == "exponential":
+        def pdf(s):
+            return s ** (m - 1) * math.exp(-s) / math.factorial(m - 1)
+
+        def cdf(x, j):
+            return float(special.gammainc(j, x)) if x > 0 else 0.0
+        upper = a
+    else:
+        def pdf(s):
+            return irwin_hall(s, m, m - 1) if 0 < s < m else 0.0
+
+        def cdf(x, j):
+            return 0.0 if x <= 0 else irwin_hall(x, j, j) if x < j else 1.0
+        upper = min(a, m)
+    joint, _ = integrate.quad(lambda s: pdf(s) * cdf(a - s, d) ** 2, 0.0,
+                              upper, limit=200, epsabs=1e-13, epsrel=1e-11)
+    p = cdf(a, r)
+    return joint / p - p, p
+
+
 class TestPsi:
     def test_range_check(self):
         with pytest.raises(ValueError):
@@ -66,6 +112,26 @@ class TestPsi:
         assert psi(cfg_exp(100, r=2), 1) >= 0.0
         assert psi(cfg_exp(100, r=3), 1) >= 0.0
         assert psi(cfg_exp(100, r=3), 2) >= 0.0
+
+    @pytest.mark.parametrize("dist", ["exponential", "uniform01"])
+    @pytest.mark.parametrize("r", [2, 3, 5, 8])
+    def test_matches_adaptive_quadrature(self, r, dist):
+        # Error relative to the conditional probability psi + p: at large a
+        # psi is a difference of two numbers near 1, which no method gets
+        # to 1e-10 of itself.
+        for a in (0.3, 1.0, 2.5, 4.0, 7.5):
+            cfg = RScanConfig(n=100, r=r, a=a, base_dist=dist)
+            if exceedance_prob(cfg) == 1.0:
+                continue
+            for d in range(1, r):
+                ref, p = quad_psi(cfg, d)
+                assert abs(psi(cfg, d) - ref) <= 1e-10 * (ref + p), (a, d)
+
+    def test_certain_window_law(self):
+        # p == 1: psi is 0, with no quadrature over a panel per unit of a.
+        assert psi(cfg_exp(100, a=1e9), 1) == 0.0
+        assert psi(RScanConfig(n=100, r=3, a=3.0, base_dist="uniform01"),
+                   2) == 0.0
 
     def test_against_direct_simulation(self):
         cfg = cfg_exp(100, r=2)
@@ -92,6 +158,19 @@ class TestVarianceFormula:
         sample_var = counts.var(ddof=1)
         se = sample_var * math.sqrt(2.0 / (len(counts) - 1))
         assert abs(variance_formula(cfg) - sample_var) < 3 * se
+
+    @pytest.mark.parametrize("argv", [
+        ["--r", "2", "--a", "1e-200"],                      # p underflows to 0
+        ["--r", "5", "--a", "7.5", "--dist", "uniform01"],  # p is exactly 1
+    ])
+    def test_degenerate_window_law(self, argv, capsys):
+        dist = argv[5] if len(argv) > 4 else "exponential"
+        cfg = RScanConfig(n=400, r=int(argv[1]), a=float(argv[3]),
+                          base_dist=dist)
+        assert variance_formula(cfg) == 0.0
+        assert cli.main(["rscan", "--n", "400", *argv, "--reps", "100",
+                         "--seed", "1"]) == cli.EXIT_INAPPLICABLE
+        assert "variance must exceed 1, got 0.0" in capsys.readouterr().err
 
     def test_near_linear_in_n(self):
         v1 = variance_formula(cfg_exp(2000))
