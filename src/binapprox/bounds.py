@@ -8,6 +8,7 @@ numbers through these formulas, all assembled by ``bound_from_theta``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -49,22 +50,41 @@ def rho(summand: LatticePMF) -> float:
 
 @dataclass(frozen=True)
 class IndependentSummandSpec:
-    """Laws of independent mean-zero lattice summands."""
+    """Laws of independent mean-zero lattice summands.  Each quantity of a
+    law is computed once per run of adjacent equal summands."""
 
     summands: list[LatticePMF]
 
     def __post_init__(self):
-        for s in self.summands:
+        for s, _ in _runs(self.summands):
             if abs(s.mean()) > 1e-9:
                 raise ValueError("all summands must have mean 0")
 
     @property
     def sigma2(self) -> float:
-        return sum(s.variance() for s in self.summands)
+        return sum(v for s, k in _runs(self.summands)
+                   for v in itertools.repeat(s.variance(), k))
 
     @property
     def anchor(self) -> float:
         return sum(s.offset for s in self.summands) % 1.0
+
+
+def _runs(summands: list[LatticePMF]) -> list[list]:
+    """[law, length] of each maximal run of adjacent equal summands."""
+    runs = []
+    for s in summands:
+        if runs and _same_law(s, runs[-1][0]):
+            runs[-1][1] += 1
+        else:
+            runs.append([s, 1])
+    return runs
+
+
+def _same_law(a: LatticePMF, b: LatticePMF) -> bool:
+    """a and b are the same object or hold identical lattice and probs."""
+    return a is b or (a.offset == b.offset and a.min_index == b.min_index
+                      and np.array_equal(a.probs, b.probs))
 
 
 def leave_one_out_smoothness(spec: IndependentSummandSpec, i: int, l: int) -> float:
@@ -79,25 +99,19 @@ def independent_sum_bound(spec: IndependentSummandSpec, l: int) -> BoundReport:
     """Approximation error bound for a sum of independent lattice summands.
 
     sigma^-2 (sum_i c_{l,i} rho_i + 1.75) with exact leave-one-out
-    smoothness constants c_{l,i}.  When summand i equals summand i-1, the
-    two rest-lists agree element by element, so c_{l,i} = c_{l,i-1} to
-    the bit and is reused: a run of equal summands costs one convolution.
+    smoothness constants c_{l,i}.  Within a run of equal summands the
+    rest-lists agree element by element, so c_{l,i} rho_i is the same to
+    the bit: a run costs one convolution and one rho, and its term is added
+    once per summand, in order, as a per-summand loop would.
     """
     total = 0.0
-    prev = None
-    for i, s in enumerate(spec.summands):
-        if not _same_law(s, prev):
-            c = leave_one_out_smoothness(spec, i, l)
-        total += c * rho(s)
-        prev = s
+    i = 0
+    for s, k in _runs(spec.summands):
+        term = leave_one_out_smoothness(spec, i, l) * rho(s)
+        for _ in range(k):
+            total += term
+        i += k
     return bound_from_theta(total, spec.sigma2)
-
-
-def _same_law(a: LatticePMF, b: LatticePMF | None) -> bool:
-    """a and b are the same object or hold identical lattice and probs."""
-    return a is b or (b is not None and a.offset == b.offset
-                      and a.min_index == b.min_index
-                      and np.array_equal(a.probs, b.probs))
 
 
 def independent_sum_approximant(spec: IndependentSummandSpec) -> tuple[CenteringParams, LatticePMF]:

@@ -163,12 +163,20 @@ def convolve(p: LatticePMF, q: LatticePMF) -> LatticePMF:
 
 
 def convolve_all(pmfs: list[LatticePMF]) -> LatticePMF:
+    """The left fold of ``convolve``, bit for bit: each step renormalizes,
+    trims and places as ``make_pmf`` does, on raw arrays, and the result is
+    validated once."""
     if not pmfs:
         raise ValueError("need at least one pmf")
-    out = pmfs[0]
+    probs, index, offset = pmfs[0].probs, pmfs[0].min_index, pmfs[0].offset
     for p in pmfs[1:]:
-        out = convolve(out, p)
-    return out
+        acc = np.convolve(probs, p.probs)
+        acc /= acc.sum()
+        nz = np.flatnonzero(acc)
+        base, offset = _split_position(offset + p.offset)
+        index += p.min_index + base + int(nz[0])
+        probs = acc[nz[0]:nz[-1] + 1]
+    return LatticePMF(offset, index, probs)
 
 
 def smoothness_functional(p: LatticePMF, l: int) -> float:

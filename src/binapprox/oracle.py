@@ -2,8 +2,9 @@
 
 Two exactly solvable benchmarks: sums of independent lattice summands
 (full convolution) and the 2-runs model, a 1-dependent indicator sum whose
-law follows from a two-state dynamic program.  Both feed the dominance
-tests: exact distance on the left, bound calculator on the right.
+law is read off its two-state generating function at roots of unity.  Both
+feed the dominance tests: exact distance on the left, bound calculator on
+the right.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.fft on first use; importing it here keeps that cost out
+# of the first two_runs_pmf.
+import numpy.fft  # noqa: F401
 
 from .lattice import LatticePMF, convolve_all, loc_distance, make_pmf, \
     tv_distance
@@ -20,8 +24,9 @@ from .binomial import CenteringParams, centering_params, centered_binomial
 from .bounds import DependenceTerm, LocalDependenceSpec, DecompositionTerm, \
     DecomposableSpec, smoothing_constants, step_overlap
 
-SUPPORT_CAP = 10 ** 6
-DENSE_DP_CAP = 10 ** 4
+# exact_sum_pmf convolves one summand at a time, quadratic in the summands.
+SUPPORT_CAP = 10 ** 4
+TWO_RUNS_CAP = 10 ** 6
 
 
 def exact_sum_pmf(summands: list[LatticePMF]) -> LatticePMF:
@@ -51,22 +56,54 @@ class TwoRunsModel:
 
 
 def two_runs_pmf(model: TwoRunsModel) -> LatticePMF:
-    """Exact law of the raw (uncentered) 2-runs count via a 2-state DP."""
+    """Exact law of the raw (uncentered) 2-runs count from its pgf.
+
+    With the last X as state, G(z) = [q p] A(z)^n 1 for
+    A(z) = [[q, p], [q, p z]].  Conjugating A by diag(sqrt q, sqrt p) makes
+    it symmetric, S(z) = [[q, s], [s, p z]] with s = sqrt(p q), and
+    G(z) = u^T S(z)^n u for u = (sqrt q, sqrt p); powers of S stay
+    symmetric, so repeated squaring carries three entries.  The power is
+    taken in extended precision (``np.longdouble``) because its rounding
+    error grows like n times the unit roundoff.
+
+    G is evaluated at L roots of unity, L the power of two at or above
+    min(n + 1, 24 sigma + 16), and one inverse FFT returns the atoms of the
+    window [c, c + L): all of {0..n} when L > n, else a window about the
+    mean, where the mass beyond 12 sigma that aliases into it is far below
+    rounding.  Models with n > TWO_RUNS_CAP are refused.
+    """
     n, p = model.n, model.p
-    if n > DENSE_DP_CAP:
-        raise ValueError(f"n={n} exceeds the dense DP's cap of {DENSE_DP_CAP}")
-    q = 1.0 - p
-    # s0[k] / s1[k]: P[partial sum = k, last X = 0 / 1]
-    s0 = np.zeros(n + 1)
-    s1 = np.zeros(n + 1)
-    s0[0], s1[0] = q, p
-    for _ in range(n):
-        new0 = q * (s0 + s1)
-        new1 = np.empty_like(s1)
-        new1[0] = p * s0[0]
-        new1[1:] = p * (s0[1:] + s1[:-1])
-        s0, s1 = new0, new1
-    return make_pmf(s0 + s1, renormalize=True)
+    if n > TWO_RUNS_CAP:
+        raise ValueError(f"n={n} exceeds the 2-runs law's limit of "
+                         f"{TWO_RUNS_CAP}")
+    sigma = math.sqrt(n * p * p * (1.0 - p * p)
+                      + 2.0 * (n - 1) * p ** 3 * (1.0 - p))
+    L = 1 << math.ceil(math.log2(min(n + 1, 24.0 * sigma + 16.0)))
+    c = 0 if L > n else min(max(round(n * p * p) - L // 2, 0), n + 1 - L)
+    pl = np.longdouble(p)
+    ql = 1 - pl
+    sl = np.sqrt(pl * ql)
+    theta = 8 * np.arctan(np.longdouble(1)) / L * np.arange(L)
+    a = np.full(L, ql, np.clongdouble)
+    b = np.full(L, sl, np.clongdouble)
+    d = pl * (np.cos(theta) - 1j * np.sin(theta))
+    # Binary powering: (a, b, d) runs through S^(2^j), and (ra, rb, rd),
+    # from the identity, multiplies in those of the set bits j of n.
+    ra, rb, rd = 1, 0, 1
+    e = n
+    while True:
+        if e & 1:
+            ra, rb, rd = ra * a + rb * b, ra * b + rb * d, rb * b + rd * d
+        e >>= 1
+        if not e:
+            break
+        bb = b * b
+        a, b, d = a * a + bb, b * (a + d), d * d + bb
+    g = (ql * ra + 2 * sl * rb + pl * rd).astype(complex)
+    # Multiplying by z^-c moves atom c to index 0.
+    g *= np.exp(2j * np.pi / L * (np.arange(L) * c % L))
+    probs = np.fft.ifft(g).real[:n + 1 - c]
+    return make_pmf(np.maximum(probs, 0.0), c, renormalize=True)
 
 
 def two_runs_pmf_bruteforce(model: TwoRunsModel) -> LatticePMF:

@@ -130,18 +130,25 @@ class TestExactCommand:
         assert main(["exact", "poisson-binomial", "--n", "3",
                      "--p", "0.5"]) == EXIT_INAPPLICABLE
 
-    def test_two_runs_past_dense_dp_cap(self, capsys):
-        assert main(["exact", "two-runs", "--n", "10001",
+    def test_two_runs_past_limit(self, capsys):
+        assert main(["exact", "two-runs", "--n", "1000001",
                      "--p", "0.4"]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "n=10001" in err and "cap of 10000" in err
+        assert "n=1000001" in err and "limit of 1000000" in err
+
+    def test_two_runs_past_former_dp_cap(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["exact", "two-runs", "--n", "20000", "--p", "0.4",
+                     "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_rows(out)
+        assert rows[0]["verdict"] == "PASS"
 
     def test_poisson_binomial_past_support_cap(self, monkeypatch, capsys):
-        # Refused before the first convolution, not after 10**6 of them.
+        # Refused before the first convolution, not after 10**4 of them.
         monkeypatch.setattr(oracle, "convolve_all", None)
-        assert main(["exact", "poisson-binomial", "--n", "2000000",
+        assert main(["exact", "poisson-binomial", "--n", "10000",
                      "--p", "0.3"]) == EXIT_USAGE
-        assert "exceed cap 1000000" in capsys.readouterr().err
+        assert "exceed cap 10000" in capsys.readouterr().err
 
     def test_poisson_binomial_nan_p(self, capsys):
         assert main(["exact", "poisson-binomial", "--n", "10",
@@ -333,6 +340,7 @@ def test_no_scipy_and_no_lazy_numpy_import(tmp_path):
         ["rates", "--app", "rscan", "--scales", "100", "200", "400",
          "--reps", "500"],
         ["exact", "two-runs", "--n", "60", "--p", "0.4"],
+        ["exact", "two-runs", "--n", "20000", "--p", "0.4"],
         ["exact", "poisson-binomial", "--n", "40", "--p", "0.3"],
         ["bound", str(spec)],
     ]

@@ -112,6 +112,22 @@ class TestConvolve:
         assert out.offset == pytest.approx(0.5)
         assert out.positions[0] == pytest.approx(1.5)
 
+    def test_convolve_all_is_the_left_fold_bit_for_bit(self):
+        # Offsets summing past 1, nonzero min_index, a gap of zero atoms
+        # too wide to fill, and edge atoms whose product underflows to 0, so
+        # the last step trims: untrimmed, the sum would start at index 3.
+        laws = [make_pmf([0.2, 0, 0, 0, 0, 0, 0.8], min_index=-3, offset=0.7),
+                make_pmf([1e-200, 0.6, 0.4], min_index=2, offset=0.7),
+                make_pmf([0.5, 0.5], min_index=-1, offset=0.5),
+                make_pmf([1e-200, 1.0], min_index=4)]
+        out = convolve_all(laws)
+        ref = laws[0]
+        for p in laws[1:]:
+            ref = convolve(ref, p)
+        assert np.array_equal(out.probs, ref.probs)
+        assert (out.offset, out.min_index) == (ref.offset, ref.min_index)
+        assert out.min_index == 4 and 0.0 in out.probs
+
     @given(pmfs(), pmfs(), pmfs())
     @settings(max_examples=60, deadline=None)
     def test_commutative_associative(self, p, q, s):

@@ -5,7 +5,8 @@ import pytest
 
 from binapprox import oracle
 from binapprox.bounds import decomposition_bound, local_dependence_bound
-from binapprox.lattice import (make_pmf, smoothness_functional, tv_distance)
+from binapprox.lattice import (loc_distance, make_pmf,
+                               smoothness_functional, tv_distance)
 from binapprox.oracle import (TwoRunsModel, _window_moments,
                               exact_distance_report,
                               exact_sum_pmf, two_runs_decomposable_spec,
@@ -27,13 +28,13 @@ class TestExactSumPMF:
             exact_sum_pmf([wide, wide])
 
     def test_cap_checked_before_convolving(self, monkeypatch):
-        # 10**6 - 1 Bernoullis fill the cap exactly; one more exceeds it.
+        # 10**4 - 1 Bernoullis fill the cap exactly; one more exceeds it.
         calls = []
         monkeypatch.setattr(oracle, "convolve_all", calls.append)
         b = make_pmf([0.5, 0.5])
         exact_sum_pmf([b] * (oracle.SUPPORT_CAP - 1))
         assert len(calls) == 1
-        with pytest.raises(ValueError, match="exceed cap 1000000"):
+        with pytest.raises(ValueError, match="exceed cap 10000"):
             exact_sum_pmf([b] * oracle.SUPPORT_CAP)
         assert len(calls) == 1
 
@@ -59,9 +60,47 @@ class TestTwoRunsPMF:
         with pytest.raises(ValueError):
             TwoRunsModel(2, 0.5)
 
-    def test_refuses_past_dense_dp_cap(self):
-        with pytest.raises(ValueError, match=r"n=10001 .*cap of 10000"):
-            two_runs_pmf(TwoRunsModel(10 ** 4 + 1, 0.4))
+    def test_refuses_past_limit(self):
+        with pytest.raises(ValueError, match=r"n=1000001 .*limit of 1000000"):
+            two_runs_pmf(TwoRunsModel(10 ** 6 + 1, 0.4))
+
+    # n = 60 is one full-length case (p = 0.4, 0.98) and one window clipped
+    # at 0 (p = 0.02); larger n give windows clipped at 0 (p = 0.02, 0.4)
+    # and at n (p = 0.98); n = 3000, p = 0.7 is a window inside {0..n}.
+    @pytest.mark.parametrize("n,p", [(n, p) for n in (60, 1000, 3000)
+                                     for p in (0.02, 0.4, 0.98)]
+                             + [(3000, 0.7)])
+    def test_matches_dense_dp(self, n, p):
+        model = TwoRunsModel(n, p)
+        law = two_runs_pmf(model)
+        ref = _dense_dp_pmf(model)
+        assert law.probs.min() >= 0.0
+        assert tv_distance(law, ref) < 1e-12
+        assert loc_distance(law, ref) < 1e-14
+
+    def test_large_n_moments(self):
+        model = TwoRunsModel(10 ** 5, 0.4)
+        law = two_runs_pmf(model)
+        _, sigma2 = two_runs_moments(model)
+        assert law.mean() == pytest.approx(10 ** 5 * 0.16, rel=1e-10)
+        assert law.variance() == pytest.approx(sigma2, rel=1e-10)
+
+
+def _dense_dp_pmf(model: TwoRunsModel):
+    """Reference law by the O(n^2) two-state dynamic program:
+    s0[k] / s1[k] = P[partial sum = k, last X = 0 / 1]."""
+    n, p = model.n, model.p
+    q = 1.0 - p
+    s0 = np.zeros(n + 1)
+    s1 = np.zeros(n + 1)
+    s0[0], s1[0] = q, p
+    for _ in range(n):
+        new0 = q * (s0 + s1)
+        new1 = np.empty_like(s1)
+        new1[0] = p * s0[0]
+        new1[1:] = p * (s0[1:] + s1[:-1])
+        s0, s1 = new0, new1
+    return make_pmf(s0 + s1, renormalize=True)
 
 
 class TestTwoRunsMoments:
