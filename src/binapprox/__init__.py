@@ -23,8 +23,8 @@ from .bounds import (BoundReport, bound_report, IndependentSummandSpec,
                      smoothing_conditional, step_overlap,
                      spec_to_json, spec_from_json)
 from .oracle import (TwoRunsModel, exact_sum_pmf, two_runs_pmf,
-                     two_runs_moments, two_runs_dependence_spec,
-                     two_runs_decomposable_spec, exact_distance_report)
+                     two_runs_dependence_spec, two_runs_decomposable_spec,
+                     exact_distance_report)
 from .engine import (ExperimentResult, RateFit, run_experiment, fit_rate,
                      noise_floor, filter_floor)
 from . import rscan, matern

@@ -267,18 +267,22 @@ def decomposition_bound(spec: DecomposableSpec, l: int) -> BoundReport:
 
 def bound_report(spec, l: int, sigma2: float | None = None) -> BoundReport:
     """The order-l bound of a spec of any kind; point-process specs carry no
-    variance and take sigma2.  Calculators are looked up at call time, so a
-    wrapper rebound in their place (a tracer's, say) sees these calls."""
+    variance and take sigma2, which any other spec refuses.  Calculators are
+    looked up at call time, so a wrapper rebound in their place (a tracer's,
+    say) sees these calls."""
+    if isinstance(spec, PointProcessSpec):
+        if sigma2 is None:
+            raise Inapplicable("point-process specs need sigma2")
+        return point_process_bound(spec, l, sigma2)
+    if sigma2 is not None:
+        raise ValueError("sigma2 is only for point-process specs; other "
+                         "specs carry their own variance")
     if isinstance(spec, IndependentSummandSpec):
         return independent_sum_bound(spec, l)
     if isinstance(spec, LocalDependenceSpec):
         return local_dependence_bound(spec, l)
     if isinstance(spec, DecomposableSpec):
         return decomposition_bound(spec, l)
-    if isinstance(spec, PointProcessSpec):
-        if sigma2 is None:
-            raise Inapplicable("point-process specs need sigma2")
-        return point_process_bound(spec, l, sigma2)
     raise TypeError(f"not a bound spec: {type(spec)!r}")
 
 

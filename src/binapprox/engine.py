@@ -59,7 +59,7 @@ def sample_chunked(chunk_sampler, reps: int, seed: int,
     chunk_sampler(m, seed_seq) returns m draws; chunk k gets the k-th child
     of SeedSequence(seed).  The chunks run on the process-wide chunk pool and
     are concatenated in chunk order, so the result does not depend on how
-    they are scheduled.  draws_per_rep=math.inf gives one rep per chunk.
+    they are scheduled.
     """
     if reps < 1:
         raise ValueError("need reps >= 1")

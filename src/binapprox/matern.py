@@ -126,10 +126,13 @@ def simulate_counts(cfg: MaternConfig, reps: int, seed: int) -> np.ndarray:
     if cfg.d == 1:
         return sample_chunked(lambda m, child: _counts_chunk_1d(cfg, m, child),
                               reps, seed, cfg.lam)
-    return sample_chunked(
-        lambda m, child: np.array([len(simulate_pattern(cfg, child))],
-                                  dtype=np.int64),
-        reps, seed, math.inf)
+    if reps < 1:
+        raise ValueError("need reps >= 1")
+    # d >= 2: rep k is simulate_pattern on child k, in the calling thread;
+    # a rep is short work that mostly holds the GIL, too small for the pool.
+    return np.array([len(simulate_pattern(cfg, c)) for c in
+                     np.random.SeedSequence(entropy=seed).spawn(reps)],
+                    dtype=np.int64)
 
 
 def mean_total(cfg: MaternConfig) -> float:

@@ -144,25 +144,6 @@ def _window_moments(model: TwoRunsModel, i: int) -> tuple[float, float, float, f
     return m1, m2, m3, m4
 
 
-def two_runs_moments(model: TwoRunsModel) -> tuple[list[dict], float]:
-    """Per-index moment fields and the variance identity sum.
-
-    Returns ([{m_xi_eta2, m_xi_eta_tau, m_cov, m_tau}, ...], sigma2) with
-    sigma2 = sum_i E{xi_i eta_i}, which equals Var(W_raw).
-    """
-    # Indices 3..n-2 see the full window: the same floats, enumerated once.
-    interior = _window_moments(model, 3) if model.n >= 5 else None
-    rows = []
-    sigma2 = 0.0
-    for i in range(1, model.n + 1):
-        m1, m2, m3, m4 = (interior if 3 <= i <= model.n - 2
-                          else _window_moments(model, i))
-        rows.append({"m_xi_eta2": m1, "m_xi_eta_tau": m2,
-                     "m_cov": abs(m3), "m_tau": m4})
-        sigma2 += m3
-    return rows, sigma2
-
-
 def _block_overlaps(p: float) -> tuple[float, float]:
     """Worst- and best-case step overlap of one 3-summand block.
 
@@ -200,11 +181,23 @@ def two_runs_smoothness(model: TwoRunsModel) -> tuple[float, float]:
 
 
 def two_runs_dependence_spec(model: TwoRunsModel) -> LocalDependenceSpec:
-    """Exact-moment bound spec for the 2-runs model."""
-    rows, sigma2 = two_runs_moments(model)
+    """Exact-moment bound spec for the 2-runs model.  Each distinct window
+    (indices 3..n-2 share one) is enumerated once and its indices share one
+    term; sigma2 = sum_i E{xi_i eta_i} = Var(W_raw), added in index order."""
+    n = model.n
     c1, c2 = two_runs_smoothness(model)
-    anchor = (-model.n * model.p ** 2) % 1.0
-    terms = [DependenceTerm(c1=c1, c2=c2, **row) for row in rows]
+    windows = {}
+    terms = []
+    sigma2 = 0.0
+    for i in range(1, n + 1):
+        k = 3 if 3 <= i <= n - 2 else i
+        if k not in windows:
+            m1, m2, m3, m4 = _window_moments(model, k)
+            windows[k] = m3, DependenceTerm(m1, m2, abs(m3), m4, c1, c2)
+        m3, term = windows[k]
+        terms.append(term)
+        sigma2 += m3
+    anchor = (-n * model.p ** 2) % 1.0
     return LocalDependenceSpec(sigma2=sigma2, anchor=anchor, terms=terms)
 
 

@@ -277,6 +277,20 @@ class TestBoundReport:
         with pytest.raises(TypeError):
             bound_report(object(), 1)
 
+    def test_stray_sigma2_refused(self):
+        # Only a point-process spec takes sigma2; every other spec carries
+        # its own, and a second one is a usage error, not ignored.
+        specs = [IndependentSummandSpec([centered_bernoulli(0.5)] * 12),
+                 LocalDependenceSpec(
+                     4.0, 0.0, [DependenceTerm(0.4, 0.3, 0.2, 1.5, 0.5, 1.25)]),
+                 DecomposableSpec(9.0, 0.0, [DecompositionTerm(0.5)],
+                                  [DecompositionTerm(1.0)])]
+        for spec in specs:
+            for l in (1, 2):
+                with pytest.raises(ValueError, match="sigma2") as exc:
+                    bound_report(spec, l, 4.0)
+                assert not isinstance(exc.value, Inapplicable)
+
 
 class TestSmoothingBounds:
     def test_printed_values(self):

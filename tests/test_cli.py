@@ -65,6 +65,13 @@ class TestBoundCommand:
         assert main(["bound", str(path), "--sigma2", "4.0",
                      "--out", str(out)]) == EXIT_OK
 
+    def test_stray_sigma2_refused(self, zero_spec, tmp_path, capsys):
+        # The spec has its own variance; --sigma2 is refused, not ignored.
+        out = tmp_path / "out.csv"
+        assert main(["bound", str(zero_spec), "--sigma2", "4",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "sigma2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_small_variance_inapplicable(self, tmp_path):
         doc = {"kind": "local_dependence", "sigma2": 0.5, "anchor": 0.0,

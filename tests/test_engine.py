@@ -120,7 +120,7 @@ class TestSampleChunked:
 
     @pytest.mark.parametrize("draws_per_rep,reps,sizes", [
         (10.0, 23, [10, 10, 3]),        # ragged last chunk
-        (math.inf, 4, [1, 1, 1, 1]),    # one rep per chunk
+        (100.0, 4, [1, 1, 1, 1]),       # a rep exactly one chunk wide
         (300.0, 2, [1, 1]),             # a rep wider than a chunk
         (0.25, 250, [100, 100, 50])])   # draws_per_rep clamped to 1
     def test_chunk_sizes_and_seeds(self, monkeypatch, draws_per_rep, reps,
@@ -156,7 +156,6 @@ class TestSampleChunked:
 RSCAN_EXP = rscan.RScanConfig(n=60, r=3, a=1.5)
 RSCAN_UNIF = rscan.RScanConfig(n=60, r=3, a=1.2, base_dist="uniform01")
 MATERN_1D = matern.MaternConfig.from_intensity_product(1, 100.0, 1.0)
-MATERN_2D = matern.MaternConfig.from_intensity_product(2, 60.0, 0.5)
 POOL_CASES = {
     "rscan_exponential": (
         lambda reps, seed: rscan.simulate_counts(RSCAN_EXP, reps, seed),
@@ -170,11 +169,6 @@ POOL_CASES = {
         lambda reps, seed: matern.simulate_counts(MATERN_1D, reps, seed),
         lambda m, child: matern._counts_chunk_1d(MATERN_1D, m, child),
         190, 20, 100),
-    "matern_2d": (   # one rep per chunk at any CHUNK_DRAWS
-        lambda reps, seed: matern.simulate_counts(MATERN_2D, reps, seed),
-        lambda m, child: np.array(
-            [len(matern.simulate_pattern(MATERN_2D, child))], dtype=np.int64),
-        9, 1, math.inf),
 }
 
 
@@ -186,8 +180,7 @@ def serial_chunks(kernel, reps, seed, chunk_reps):
 
 
 def use_chunk_reps(monkeypatch, chunk_reps, draws_per_rep):
-    if draws_per_rep < math.inf:
-        monkeypatch.setattr(engine, "CHUNK_DRAWS", chunk_reps * draws_per_rep)
+    monkeypatch.setattr(engine, "CHUNK_DRAWS", chunk_reps * draws_per_rep)
 
 
 class TestChunkPool:

@@ -291,6 +291,35 @@ class TestSimulateCounts:
         counts = simulate_counts(cfg, 500, seed=5)
         assert counts.min() >= 0
 
+    def test_2d_rep_is_pattern_on_its_child(self):
+        # d >= 2: rep k is simulate_pattern on the k-th child of the seed.
+        cfg = MaternConfig.from_intensity_product(2, 60.0, 0.5)
+        children = np.random.SeedSequence(11).spawn(9)
+        want = np.array([len(simulate_pattern(cfg, c)) for c in children],
+                        dtype=np.int64)
+        got = simulate_counts(cfg, 9, 11)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_2d_off_the_chunk_pool(self, monkeypatch):
+        # d >= 2 runs in the calling thread: a pool that refuses work
+        # changes no count.
+        cfg = MaternConfig.from_intensity_product(2, 60.0, 0.5)
+        want = simulate_counts(cfg, 40, 12)
+
+        class RefusingPool:
+            def map(self, *args, **kwargs):
+                raise AssertionError("d >= 2 reached the chunk pool")
+
+        monkeypatch.setattr(engine, "_CHUNK_POOL", RefusingPool())
+        np.testing.assert_array_equal(simulate_counts(cfg, 40, 12), want)
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_2d_rejects_no_reps(self, reps):
+        cfg = MaternConfig.from_intensity_product(2, 60.0, 0.5)
+        with pytest.raises(ValueError, match="reps >= 1"):
+            simulate_counts(cfg, reps, 0)
+
 
 class TestErrorBound:
     def test_block_guard(self):

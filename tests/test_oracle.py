@@ -10,7 +10,7 @@ from binapprox.lattice import (loc_distance, make_pmf,
 from binapprox.oracle import (TwoRunsModel, _window_moments,
                               exact_distance_report,
                               exact_sum_pmf, two_runs_decomposable_spec,
-                              two_runs_dependence_spec, two_runs_moments,
+                              two_runs_dependence_spec,
                               two_runs_pmf, two_runs_pmf_bruteforce,
                               two_runs_smoothness)
 
@@ -81,7 +81,7 @@ class TestTwoRunsPMF:
     def test_large_n_moments(self):
         model = TwoRunsModel(10 ** 5, 0.4)
         law = two_runs_pmf(model)
-        _, sigma2 = two_runs_moments(model)
+        sigma2 = two_runs_dependence_spec(model).sigma2
         assert law.mean() == pytest.approx(10 ** 5 * 0.16, rel=1e-10)
         assert law.variance() == pytest.approx(sigma2, rel=1e-10)
 
@@ -104,39 +104,43 @@ def _dense_dp_pmf(model: TwoRunsModel):
 
 
 class TestTwoRunsMoments:
+    """The neighborhood moments and variance in two_runs_dependence_spec."""
+
     @pytest.mark.parametrize("n,p", [(10, 0.3), (25, 0.5), (12, 0.7)])
     def test_variance_identity(self, n, p):
-        # The covariance-sum form of the variance must match the DP law.
+        # The covariance-sum form of the variance must match the exact law.
         model = TwoRunsModel(n, p)
-        _, sigma2 = two_runs_moments(model)
+        sigma2 = two_runs_dependence_spec(model).sigma2
         assert sigma2 == pytest.approx(two_runs_pmf(model).variance(), rel=1e-10)
 
     def test_interior_rows_identical(self):
-        # Away from the boundary every index sees the same window.
-        rows, _ = two_runs_moments(TwoRunsModel(12, 0.4))
-        for key in rows[3]:
-            mid = [r[key] for r in rows[3:-3]]
-            assert max(mid) - min(mid) < 1e-12
+        # Away from the boundary every index sees the same window, so the
+        # interior indices share one term: 5 distinct objects in all.
+        for n in (12, 10 ** 5):
+            terms = two_runs_dependence_spec(TwoRunsModel(n, 0.4)).terms
+            assert len(terms) == n
+            assert len({id(t) for t in terms}) == 5
+            assert all(t is terms[2] for t in terms[2:-2])
 
     def test_moments_nonnegative(self):
-        rows, _ = two_runs_moments(TwoRunsModel(8, 0.6))
-        for r in rows:
-            assert all(v >= 0.0 for v in r.values())
+        for t in two_runs_dependence_spec(TwoRunsModel(8, 0.6)).terms:
+            assert min(t.m_xi_eta2, t.m_xi_eta_tau, t.m_cov, t.m_tau) >= 0.0
 
     @pytest.mark.parametrize("n,p", [(3, 0.4), (4, 0.4), (5, 0.5), (6, 0.2),
                                      (8, 0.7), (12, 0.4), (60, 0.3),
                                      (60, 0.6)])
     def test_matches_per_index_enumeration(self, n, p):
         model = TwoRunsModel(n, p)
-        rows, sigma2 = two_runs_moments(model)
-        expected_rows, expected_sigma2 = [], 0.0
-        for i in range(1, n + 1):
+        spec = two_runs_dependence_spec(model)
+        c1, c2 = two_runs_smoothness(model)
+        expected_sigma2 = 0.0
+        assert len(spec.terms) == n
+        for i, t in enumerate(spec.terms, 1):
             m1, m2, m3, m4 = _window_moments(model, i)
-            expected_rows.append({"m_xi_eta2": m1, "m_xi_eta_tau": m2,
-                                  "m_cov": abs(m3), "m_tau": m4})
+            assert (t.m_xi_eta2, t.m_xi_eta_tau, t.m_cov, t.m_tau,
+                    t.c1, t.c2) == (m1, m2, abs(m3), m4, c1, c2)
             expected_sigma2 += m3
-        assert rows == expected_rows
-        assert sigma2 == expected_sigma2
+        assert spec.sigma2 == expected_sigma2
 
 
 class TestTwoRunsSmoothness:
