@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -41,6 +41,39 @@ def bound_from_theta(theta_sum: float, sigma2: float) -> BoundReport:
                        theta_sum, sigma2)
 
 
+def runs(items, key=None) -> list[tuple]:
+    """(first item, length) of each maximal run of adjacent items with equal
+    keys (default: the items; ``==`` is immediate for one shared object)."""
+    return [(run[0], len(run)) for run in
+            (list(group) for _, group in itertools.groupby(items, key))]
+
+
+def fsum_runs(pairs) -> float:
+    """Exactly rounded sum of each value repeated count times, so independent
+    of order and Python version; +inf past the largest double."""
+    try:
+        return math.fsum(itertools.chain.from_iterable(
+            itertools.repeat(v, k) for v, k in pairs))
+    except OverflowError:
+        return math.inf
+
+
+def _law(s: LatticePMF) -> tuple:
+    """Run key of a lattice law: its lattice and the bytes of its probs."""
+    return s.offset, s.min_index, s.probs.tobytes()
+
+
+def _check_fields(term) -> None:
+    """Refuse a negative or NaN field of a bound term; +inf is legal (a
+    useless bound)."""
+    for f in fields(term):
+        value = getattr(term, f.name)
+        for v in value if isinstance(value, list) else (value,):
+            if not v >= 0.0:
+                raise ValueError(f"{type(term).__name__}.{f.name} must be "
+                                 f"nonnegative, got {v!r}")
+
+
 def rho(summand: LatticePMF) -> float:
     """Third-moment weight of one independent summand: sigma^3 + E|xi|^3/2."""
     if abs(summand.mean()) > 1e-9:
@@ -56,35 +89,19 @@ class IndependentSummandSpec:
     summands: list[LatticePMF]
 
     def __post_init__(self):
-        for s, _ in _runs(self.summands):
+        for s, _ in runs(self.summands, _law):
             if abs(s.mean()) > 1e-9:
                 raise ValueError("all summands must have mean 0")
 
     @property
     def sigma2(self) -> float:
-        return sum(v for s, k in _runs(self.summands)
-                   for v in itertools.repeat(s.variance(), k))
+        return fsum_runs((s.variance(), k)
+                         for s, k in runs(self.summands, _law))
 
     @property
     def anchor(self) -> float:
-        return sum(s.offset for s in self.summands) % 1.0
-
-
-def _runs(summands: list[LatticePMF]) -> list[list]:
-    """[law, length] of each maximal run of adjacent equal summands."""
-    runs = []
-    for s in summands:
-        if runs and _same_law(s, runs[-1][0]):
-            runs[-1][1] += 1
-        else:
-            runs.append([s, 1])
-    return runs
-
-
-def _same_law(a: LatticePMF, b: LatticePMF) -> bool:
-    """a and b are the same object or hold identical lattice and probs."""
-    return a is b or (a.offset == b.offset and a.min_index == b.min_index
-                      and np.array_equal(a.probs, b.probs))
+        return fsum_runs((s.offset, k)
+                         for s, k in runs(self.summands, _law)) % 1.0
 
 
 def leave_one_out_smoothness(spec: IndependentSummandSpec, i: int, l: int) -> float:
@@ -101,17 +118,14 @@ def independent_sum_bound(spec: IndependentSummandSpec, l: int) -> BoundReport:
     sigma^-2 (sum_i c_{l,i} rho_i + 1.75) with exact leave-one-out
     smoothness constants c_{l,i}.  Within a run of equal summands the
     rest-lists agree element by element, so c_{l,i} rho_i is the same to
-    the bit: a run costs one convolution and one rho, and its term is added
-    once per summand, in order, as a per-summand loop would.
+    the bit: a run costs one convolution and one rho.
     """
-    total = 0.0
+    pairs = []
     i = 0
-    for s, k in _runs(spec.summands):
-        term = leave_one_out_smoothness(spec, i, l) * rho(s)
-        for _ in range(k):
-            total += term
+    for s, k in runs(spec.summands, _law):
+        pairs.append((leave_one_out_smoothness(spec, i, l) * rho(s), k))
         i += k
-    return bound_from_theta(total, spec.sigma2)
+    return bound_from_theta(fsum_runs(pairs), spec.sigma2)
 
 
 def independent_sum_approximant(spec: IndependentSummandSpec) -> tuple[CenteringParams, LatticePMF]:
@@ -137,13 +151,13 @@ def integer_sum_bound(summands: list[LatticePMF], metric: str) -> tuple[float, L
     for s in summands:
         if abs(s.offset) > 1e-9:
             raise ValueError("summands must be integer valued")
-    sigma2 = sum(s.variance() for s in summands)
+    sigma2 = math.fsum(s.variance() for s in summands)
     check_variance(sigma2)
     sigma = math.sqrt(sigma2)
-    mu = sum(s.mean() for s in summands)
-    rho_sum = sum(s.variance() ** 1.5 + 0.5 * s.abs_moment(3) for s in summands)
+    mu = math.fsum(s.mean() for s in summands)
+    rho_sum = math.fsum(s.variance() ** 1.5 + 0.5 * s.abs_moment(3) for s in summands)
     v = [step_overlap(s) for s in summands]
-    V, vstar = sum(v), max(v)
+    V, vstar = math.fsum(v), max(v)
     n = math.ceil(4.0 * sigma2)
     if metric == "tv":
         denom = V - vstar
@@ -180,6 +194,7 @@ class DependenceTerm:
     c2: float
 
     def theta(self, l: int) -> float:
+        _check_fields(self)
         c = self.c1 if l == 1 else self.c2
         return c * (0.5 * self.m_xi_eta2 + self.m_xi_eta_tau
                     + self.m_cov * self.m_tau)
@@ -196,7 +211,8 @@ def local_dependence_bound(spec: LocalDependenceSpec, l: int) -> BoundReport:
     """Bound for sums with a finite two-layer neighborhood structure."""
     if l not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {l}")
-    return bound_from_theta(sum(t.theta(l) for t in spec.terms), spec.sigma2)
+    return bound_from_theta(
+        fsum_runs((t.theta(l), k) for t, k in runs(spec.terms)), spec.sigma2)
 
 
 @dataclass(frozen=True)
@@ -214,6 +230,7 @@ class PointTerm:
     c2: float
 
     def theta(self, l: int) -> float:
+        _check_fields(self)
         c = self.c1 if l == 1 else self.c2
         return c * (1.5 * self.palm_prod + 1.5 * self.plain_prod
                     + 6.0 * self.mu_A * self.mu_B + 4.0 * self.mu_B * self.palm_B)
@@ -229,10 +246,9 @@ def point_process_bound(spec: PointProcessSpec, l: int,
     """Bound for the total point count of a locally dependent point process."""
     if l not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {l}")
-    if any(t.weight < 0 for t in spec.terms):
-        raise ValueError("quadrature weights must be nonnegative")
-    return bound_from_theta(sum(t.weight * t.theta(l) for t in spec.terms),
-                            sigma2)
+    return bound_from_theta(
+        fsum_runs((t.weight * t.theta(l), k) for t, k in runs(spec.terms)),
+        sigma2)
 
 
 @dataclass(frozen=True)
@@ -245,8 +261,12 @@ class DecompositionTerm:
     zvsum_terms: list[float] = field(default_factory=list)   # c * E|Z + V_k|
 
     def theta(self) -> float:
-        return (self.z2_term + sum(self.zv_terms)
-                + sum(c * s for c, s in zip(self.cov_terms, self.zvsum_terms)))
+        _check_fields(self)
+        if len(self.cov_terms) != len(self.zvsum_terms):
+            raise ValueError("cov_terms and zvsum_terms differ in length")
+        return fsum_runs((x, 1) for x in itertools.chain(
+            (self.z2_term, *self.zv_terms),
+            (c * s for c, s in zip(self.cov_terms, self.zvsum_terms))))
 
 
 @dataclass(frozen=True)
@@ -256,13 +276,18 @@ class DecomposableSpec:
     terms_l1: list[DecompositionTerm]
     terms_l2: list[DecompositionTerm]
 
+    def __post_init__(self):
+        if len(self.terms_l1) != len(self.terms_l2):
+            raise ValueError("terms_l1 and terms_l2 differ in length")
+
 
 def decomposition_bound(spec: DecomposableSpec, l: int) -> BoundReport:
     """Bound for sums admitting an independent-part decomposition."""
     if l not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {l}")
     terms = spec.terms_l1 if l == 1 else spec.terms_l2
-    return bound_from_theta(sum(t.theta() for t in terms), spec.sigma2)
+    return bound_from_theta(fsum_runs((t.theta(), k) for t, k in runs(terms)),
+                            spec.sigma2)
 
 
 def bound_report(spec, l: int, sigma2: float | None = None) -> BoundReport:
@@ -307,7 +332,7 @@ def smoothing_bounds(v_list) -> tuple[float, float]:
     v = list(v_list)
     if any(not 0.0 <= x <= 0.5 for x in v):
         raise ValueError("overlaps must lie in [0, 1/2]")
-    return smoothing_constants(sum(v), max(v) if v else 0.0)
+    return smoothing_constants(math.fsum(v), max(v) if v else 0.0)
 
 
 def block_smoothing_constant(l: int, m: int, k: int, p0: float,
@@ -335,16 +360,12 @@ def smoothing_conditional(per_z) -> tuple[float, float]:
     per_z is an iterable of (weight, V_z, vstar_z) with weights summing to 1.
     """
     rows = list(per_z)
-    wsum = sum(w for w, _, _ in rows)
+    wsum = math.fsum(w for w, _, _ in rows)
     if any(w < 0 for w, _, _ in rows) or abs(wsum - 1.0) > 1e-9:
         raise ValueError("weights must be nonnegative and sum to 1")
-    d1 = 0.0
-    d2 = 0.0
-    for w, V, vstar in rows:
-        b1, b2 = smoothing_constants(V, vstar)
-        d1 += w * b1
-        d2 += w * b2
-    return d1, d2
+    bs = [(w, smoothing_constants(V, vstar)) for w, V, vstar in rows]
+    return (math.fsum(w * b1 for w, (b1, _) in bs),
+            math.fsum(w * b2 for w, (_, b2) in bs))
 
 
 # -- JSON round-trips for the CLI ---------------------------------------

@@ -22,7 +22,7 @@ from .lattice import LatticePMF, convolve_all, loc_distance, make_pmf, \
     tv_distance
 from .binomial import CenteringParams, centering_params, centered_binomial
 from .bounds import DependenceTerm, LocalDependenceSpec, DecompositionTerm, \
-    DecomposableSpec, smoothing_constants, step_overlap
+    DecomposableSpec, fsum_runs, runs, smoothing_constants, step_overlap
 
 # exact_sum_pmf convolves one summand at a time, quadratic in the summands.
 SUPPORT_CAP = 10 ** 4
@@ -135,8 +135,8 @@ def _window_moments(model: TwoRunsModel, i: int) -> tuple[float, float, float, f
         x = dict(zip(xs_idx, xs))
         pr = math.prod(p if v else 1.0 - p for v in xs)
         xi = x[i] * x[i + 1] - mean
-        eta = sum(x[j] * x[j + 1] - mean for j in a_set)
-        tau = sum(x[j] * x[j + 1] - mean for j in b_set)
+        eta = math.fsum(x[j] * x[j + 1] - mean for j in a_set)
+        tau = math.fsum(x[j] * x[j + 1] - mean for j in b_set)
         m1 += pr * abs(xi) * eta * eta
         m2 += pr * abs(xi * eta * (tau - eta))
         m3 += pr * xi * eta
@@ -183,20 +183,18 @@ def two_runs_smoothness(model: TwoRunsModel) -> tuple[float, float]:
 def two_runs_dependence_spec(model: TwoRunsModel) -> LocalDependenceSpec:
     """Exact-moment bound spec for the 2-runs model.  Each distinct window
     (indices 3..n-2 share one) is enumerated once and its indices share one
-    term; sigma2 = sum_i E{xi_i eta_i} = Var(W_raw), added in index order."""
+    term.  sigma2 = Var(W_raw) = sum_i E{xi_i eta_i} is the exact sum of
+    m_cov = |E xi_i eta_i| over the runs: E xi_i eta_i is Var xi_i plus the
+    covariances p^3 - p^4 > 0 with the neighbours, so it is positive."""
     n = model.n
     c1, c2 = two_runs_smoothness(model)
-    windows = {}
-    terms = []
-    sigma2 = 0.0
-    for i in range(1, n + 1):
-        k = 3 if 3 <= i <= n - 2 else i
-        if k not in windows:
-            m1, m2, m3, m4 = _window_moments(model, k)
-            windows[k] = m3, DependenceTerm(m1, m2, abs(m3), m4, c1, c2)
-        m3, term = windows[k]
-        terms.append(term)
-        sigma2 += m3
+    ks = [1, 2] + [3] * (n - 4) + [n - 1, n] if n > 3 else [1, 2, 3]
+    window = {}
+    for k in dict.fromkeys(ks):
+        m1, m2, m3, m4 = _window_moments(model, k)
+        window[k] = DependenceTerm(m1, m2, abs(m3), m4, c1, c2)
+    terms = [window[k] for k in ks]
+    sigma2 = fsum_runs((t.m_cov, k) for t, k in runs(terms))
     anchor = (-n * model.p ** 2) % 1.0
     return LocalDependenceSpec(sigma2=sigma2, anchor=anchor, terms=terms)
 
@@ -206,16 +204,17 @@ def two_runs_decomposable_spec(model: TwoRunsModel) -> DecomposableSpec:
 
     Take K_i = {i}, Z_i = eta_i and V_i = tau_i - eta_i; then the
     decomposition terms reproduce the neighborhood-moment terms exactly.
+    Indices that share a dependence term share its decomposition terms.
     """
     dep = two_runs_dependence_spec(model)
     tl = {1: [], 2: []}
-    for t in dep.terms:
+    for t, k in runs(dep.terms):
         for l, c in ((1, t.c1), (2, t.c2)):
-            tl[l].append(DecompositionTerm(
+            tl[l] += [DecompositionTerm(
                 z2_term=c * 0.5 * t.m_xi_eta2,
                 zv_terms=[c * t.m_xi_eta_tau],
                 cov_terms=[t.m_cov],
-                zvsum_terms=[c * t.m_tau]))
+                zvsum_terms=[c * t.m_tau])] * k
     return DecomposableSpec(sigma2=dep.sigma2, anchor=dep.anchor,
                             terms_l1=tl[1], terms_l2=tl[2])
 

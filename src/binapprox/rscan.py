@@ -156,7 +156,7 @@ def variance_formula(cfg: RScanConfig) -> float:
     p = exceedance_prob(cfg)
     if p in (0.0, 1.0):
         return 0.0
-    corr = sum((1.0 - d / cfg.n) * psi(cfg, d) for d in range(1, cfg.r))
+    corr = math.fsum((1.0 - d / cfg.n) * psi(cfg, d) for d in range(1, cfg.r))
     return cfg.n * p * (1.0 - p + 2.0 * corr)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from binapprox import bounds
 from binapprox.binomial import Inapplicable
 from binapprox.bounds import (BoundReport, DecomposableSpec, DecompositionTerm,
                               DependenceTerm, IndependentSummandSpec,
@@ -10,9 +11,9 @@ from binapprox.bounds import (BoundReport, DecomposableSpec, DecompositionTerm,
                               decomposition_bound, independent_sum_approximant,
                               independent_sum_bound, integer_sum_bound,
                               block_smoothing_constant,
-                              bound_from_theta, bound_report,
+                              bound_from_theta, bound_report, fsum_runs,
                               leave_one_out_smoothness, local_dependence_bound,
-                              point_process_bound, rho, smoothing_bounds,
+                              point_process_bound, rho, runs, smoothing_bounds,
                               smoothing_conditional, spec_from_json,
                               spec_to_json, step_overlap)
 from binapprox.lattice import (convolve_all, loc_distance, make_pmf,
@@ -91,15 +92,15 @@ class TestIndependentSumBound:
     def test_run_reuse_equals_per_index_sum(self, pattern, l):
         # Lower case is one shared object per law; upper case is a fresh
         # equal-valued copy.  Adjacent equals reuse the leave-one-out value;
-        # the bound must equal the per-index sum to the bit.
+        # the bound must equal the exactly rounded per-index sum to the bit.
         laws = {"a": 0.3, "b": 0.5, "c": 0.8}
         shared = {k: centered_bernoulli(p) for k, p in laws.items()}
         summands = [shared[ch] if ch.islower()
                     else centered_bernoulli(laws[ch.lower()])
                     for ch in pattern]
         spec = IndependentSummandSpec(summands)
-        theta = sum(leave_one_out_smoothness(spec, i, l) * rho(s)
-                    for i, s in enumerate(spec.summands))
+        theta = math.fsum(leave_one_out_smoothness(spec, i, l) * rho(s)
+                          for i, s in enumerate(spec.summands))
         assert independent_sum_bound(spec, l) \
             == bound_from_theta(theta, spec.sigma2)
 
@@ -290,6 +291,99 @@ class TestBoundReport:
                 with pytest.raises(ValueError, match="sigma2") as exc:
                     bound_report(spec, l, 4.0)
                 assert not isinstance(exc.value, Inapplicable)
+
+
+class TestSummation:
+    def test_fsum_runs_equals_fsum_of_expanded_list(self):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(40) * 10.0 ** rng.integers(-8, 9, 40)
+        counts = rng.integers(0, 1000, 40)
+        pairs = [(float(v), int(k)) for v, k in zip(values, counts)]
+        expanded = [v for v, k in pairs for _ in range(k)]
+        assert fsum_runs(pairs) == math.fsum(expanded)
+
+    def test_fsum_runs_overflow_is_inf(self):
+        assert fsum_runs([(1e308, 2)]) == math.inf
+        assert fsum_runs([(1e308, 1), (1e308, 1), (-1e308, 1)]) == math.inf
+
+    def test_runs_of_shared_objects_and_equal_copies(self):
+        t = DependenceTerm(0.4, 0.3, 0.2, 1.5, 0.5, 1.25)
+        u = DependenceTerm(0.4, 0.3, 0.2, 1.5, 0.5, 1.25)
+        v = DependenceTerm(0.1, 0.3, 0.2, 1.5, 0.5, 1.25)
+        assert runs([t, t, u, v, t]) == [(t, 3), (v, 1), (t, 1)]
+        assert runs([]) == []
+
+    def test_runs_of_laws_by_lattice_and_probs(self):
+        a, b = centered_bernoulli(0.3), centered_bernoulli(0.5)
+        copy = centered_bernoulli(0.3)
+        shifted = a.shift(1)
+        got = runs([a, a, copy, shifted, b, b, a], bounds._law)
+        assert [k for _, k in got] == [3, 1, 2, 1]
+        assert all(s is x for (s, _), x in zip(got, [a, shifted, b, a]))
+
+    def test_theta_once_per_run(self, monkeypatch):
+        # 10^5 terms in three runs: a shared middle term between two
+        # equal-valued copies of an edge term.
+        n = 10 ** 5
+        edge = DependenceTerm(0.1, 0.3, 0.2, 1.5, 0.5, 1.25)
+        inner = DependenceTerm(0.4, 0.3, 0.2, 1.5, 0.5, 1.25)
+        terms = [edge] + [inner] * (n - 2) + [DependenceTerm(
+            0.1, 0.3, 0.2, 1.5, 0.5, 1.25)]
+        calls = []
+        theta = DependenceTerm.theta
+        monkeypatch.setattr(DependenceTerm, "theta",
+                            lambda t, l: calls.append(t) or theta(t, l))
+        rep = local_dependence_bound(LocalDependenceSpec(4.0, 0.0, terms), 1)
+        assert calls == [edge, inner, edge]
+        assert rep.theta_sum == math.fsum(
+            [theta(edge, 1)] * 2 + [theta(inner, 1)] * (n - 2))
+
+
+class TestBadSpecValues:
+    """A negative or NaN field of a bound term is refused by its theta;
+    +inf is legal and gives a legal, useless bound."""
+
+    FIELDS = ("m_xi_eta2", "m_xi_eta_tau", "m_cov", "m_tau", "c1", "c2")
+
+    @pytest.mark.parametrize("name", FIELDS)
+    @pytest.mark.parametrize("bad", [-50.0, -1e-300, math.nan])
+    def test_dependence_term_refused(self, name, bad):
+        kwargs = dict(zip(self.FIELDS, (0.4, 0.3, 0.2, 1.5, 0.5, 1.25)))
+        kwargs[name] = bad
+        spec = LocalDependenceSpec(4.0, 0.0, [DependenceTerm(**kwargs)])
+        for l in (1, 2):
+            with pytest.raises(ValueError, match=name):
+                local_dependence_bound(spec, l)
+
+    @pytest.mark.parametrize("name", ["c1", "c2", "m_tau"])
+    def test_infinite_field_legal(self, name):
+        kwargs = dict(zip(self.FIELDS, (0.4, 0.3, 0.2, 1.5, 0.5, 1.25)))
+        kwargs[name] = math.inf
+        spec = LocalDependenceSpec(4.0, 0.0, [DependenceTerm(**kwargs)])
+        values = [local_dependence_bound(spec, l).value for l in (1, 2)]
+        assert math.inf in values and not any(map(math.isnan, values))
+
+    @pytest.mark.parametrize("term", [
+        DecompositionTerm(-0.5), DecompositionTerm(0.5, [math.nan]),
+        DecompositionTerm(0.5, [0.1], [-0.2], [0.3]),
+        DecompositionTerm(0.5, [0.1], [0.2], [0.3, 0.4]),
+        DecompositionTerm(0.5, [0.1], [0.2, 0.1], [0.3])])
+    def test_decomposition_term_refused(self, term):
+        spec = DecomposableSpec(9.0, 0.0, [term], [term])
+        with pytest.raises(ValueError):
+            decomposition_bound(spec, 1)
+
+    def test_decomposable_orders_differ_in_length(self):
+        with pytest.raises(ValueError, match="terms_l1 and terms_l2"):
+            DecomposableSpec(9.0, 0.0, [DecompositionTerm(0.5)], [])
+
+    @pytest.mark.parametrize("field", ["palm_prod", "mu_B", "c2"])
+    def test_point_term_refused(self, field):
+        kwargs = dict(weight=10.0, palm_prod=2.0, plain_prod=2.0, mu_A=0.5,
+                      mu_B=0.5, palm_B=1.0, c1=0.1, c2=0.1)
+        kwargs[field] = -1.0
+        with pytest.raises(ValueError, match=field):
+            point_process_bound(PointProcessSpec([PointTerm(**kwargs)]), 1, 4.0)
 
 
 class TestSmoothingBounds:

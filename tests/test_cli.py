@@ -104,6 +104,41 @@ class TestBoundCommand:
         out, err = capsys.readouterr()
         assert out == "" and "got inf" in err
 
+    @pytest.mark.parametrize("doc,needle", [
+        ({"kind": "local_dependence", "sigma2": 4.0, "anchor": 0.0,
+          "terms": [{"m_xi_eta2": -50.0, "m_xi_eta_tau": 0.0, "m_cov": 0.0,
+                     "m_tau": 0.0, "c1": 1.0, "c2": 2.0}]}, "m_xi_eta2"),
+        ({"kind": "local_dependence", "sigma2": 4.0, "anchor": 0.0,
+          "terms": [{"m_xi_eta2": 0.0, "m_xi_eta_tau": 0.0, "m_cov": math.nan,
+                     "m_tau": 0.0, "c1": 1.0, "c2": 2.0}]}, "got nan"),
+        ({"kind": "decomposable", "sigma2": 4.0, "anchor": 0.0,
+          "terms_l1": [{"z2_term": 0.5}], "terms_l2": []}, "terms_l2"),
+        ({"kind": "decomposable", "sigma2": 4.0, "anchor": 0.0,
+          "terms_l1": [{"z2_term": 0.5, "cov_terms": [0.1, 0.2],
+                        "zvsum_terms": [0.3]}],
+          "terms_l2": [{"z2_term": 0.5}]}, "zvsum_terms")],
+        ids=["negative", "nan", "orders", "pairs"])
+    def test_bad_spec_value_refused(self, tmp_path, capsys, doc, needle):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bound", str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and needle in err
+
+    def test_huge_thetas_sum_to_inf(self, tmp_path):
+        # Two legal thetas of 1e308 overflow the double range: the bound is
+        # +inf, a legal and useless value, not an internal failure.
+        term = {"m_xi_eta2": 0.0, "m_xi_eta_tau": 1e308, "m_cov": 0.0,
+                "m_tau": 0.0, "c1": 1.0, "c2": math.inf}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"kind": "local_dependence", "sigma2": 4.0,
+                                    "anchor": 0.0, "terms": [term, term]}))
+        out = tmp_path / "out.csv"
+        assert main(["bound", str(path), "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_rows(out)
+        assert [(r["bound"], r["theta_sum"]) for r in rows] \
+            == [("inf", "inf")] * 2
+
     def test_independent_theta_sum_exact(self, tmp_path):
         # The printed theta sum is the sum itself, not a value back-solved
         # from the bound (which differs in the last bits for this spec).
@@ -119,8 +154,8 @@ class TestBoundCommand:
         assert main(["bound", str(path), "--out", str(out)]) == EXIT_OK
         _, _, rows = read_rows(out)
         for l, row in zip((1, 2), rows):
-            theta = sum(bounds.leave_one_out_smoothness(spec, i, l)
-                        * bounds.rho(s) for i, s in enumerate(summands))
+            theta = math.fsum(bounds.leave_one_out_smoothness(spec, i, l)
+                              * bounds.rho(s) for i, s in enumerate(summands))
             assert row["theta_sum"] == repr(theta)
 
 

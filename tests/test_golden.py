@@ -14,6 +14,7 @@ has 2 empty and 7 one-point reps, so it pins the wrap-around and
 lone-point paths of the 1-d simulator.
 """
 
+import builtins
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,28 @@ def test_output_matches_fixture(name, tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "CHUNK_DRAWS", SMALL_CHUNK)
     monkeypatch.setattr(engine, "BLOCK_DRAWS", SMALL_BLOCK)
     monkeypatch.chdir(tmp_path)
+    expected = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+    assert run_case(name, tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name.startswith(
+    ("rscan", "exact_", "bound_"))])
+def test_no_float_through_builtin_sum(name, tmp_path, monkeypatch):
+    # Builtin sum() adds floats differently across Python versions (3.12
+    # made it compensated), so every float reduction behind these fixtures
+    # must go through math.fsum; sum() is left to integers.
+    int_sum = builtins.sum
+
+    def sum_of_ints(items, start=0):
+        items = list(items)
+        if any(isinstance(x, float) for x in [start, *items]):
+            raise AssertionError("float reduction through builtins.sum")
+        return int_sum(items, start)
+
+    monkeypatch.setattr(engine, "CHUNK_DRAWS", SMALL_CHUNK)
+    monkeypatch.setattr(engine, "BLOCK_DRAWS", SMALL_BLOCK)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(builtins, "sum", sum_of_ints)
     expected = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
     assert run_case(name, tmp_path) == expected
 

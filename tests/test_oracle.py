@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from binapprox import oracle
-from binapprox.bounds import decomposition_bound, local_dependence_bound
+from binapprox.bounds import (DecompositionTerm, decomposition_bound,
+                              local_dependence_bound)
 from binapprox.lattice import (loc_distance, make_pmf,
                                smoothness_functional, tv_distance)
 from binapprox.oracle import (TwoRunsModel, _window_moments,
@@ -133,14 +134,14 @@ class TestTwoRunsMoments:
         model = TwoRunsModel(n, p)
         spec = two_runs_dependence_spec(model)
         c1, c2 = two_runs_smoothness(model)
-        expected_sigma2 = 0.0
+        m3s = []
         assert len(spec.terms) == n
         for i, t in enumerate(spec.terms, 1):
             m1, m2, m3, m4 = _window_moments(model, i)
             assert (t.m_xi_eta2, t.m_xi_eta_tau, t.m_cov, t.m_tau,
                     t.c1, t.c2) == (m1, m2, abs(m3), m4, c1, c2)
-            expected_sigma2 += m3
-        assert spec.sigma2 == expected_sigma2
+            m3s.append(m3)
+        assert spec.sigma2 == math.fsum(m3s)
 
 
 class TestTwoRunsSmoothness:
@@ -181,6 +182,25 @@ class TestDependenceSpecs:
         for l in (1, 2):
             assert decomposition_bound(dec, l).value \
                 == pytest.approx(local_dependence_bound(dep, l).value, rel=1e-12)
+
+    def test_decomposable_terms_shared_per_window(self, monkeypatch):
+        # One term per distinct window and order, shared by its indices,
+        # and theta is evaluated once per shared term.
+        n = 10 ** 5
+        dep = two_runs_dependence_spec(TwoRunsModel(n, 0.4))
+        dec = two_runs_decomposable_spec(TwoRunsModel(n, 0.4))
+        calls = []
+        theta = DecompositionTerm.theta
+        monkeypatch.setattr(DecompositionTerm, "theta",
+                            lambda t: calls.append(t) or theta(t))
+        for l, terms in ((1, dec.terms_l1), (2, dec.terms_l2)):
+            assert len(terms) == n
+            assert len({id(t) for t in terms}) <= 5
+            assert all(t is terms[2] for t in terms[2:-2])
+            calls.clear()
+            assert decomposition_bound(dec, l).value \
+                == pytest.approx(local_dependence_bound(dep, l).value, rel=1e-12)
+            assert len(calls) == len({id(t) for t in terms})
 
     def test_anchor_matches_centered_law(self):
         model = TwoRunsModel(30, 0.5)
