@@ -172,26 +172,29 @@ def stein_solution(params: BinomialParams, target_set) -> np.ndarray:
     check, not an unknown).
     """
     n, p = params.n, params.p
-    rhs = _centered_indicator(params, target_set)
+    rhs = _centered_indicator(params, target_set).tolist()
     # Telescoped form: with w(z) = p(n-z)*pi(z)*g(z) the recurrence reads
     # w(z) = w(z-1) - pi(z)*rhs(z), so g(z) is a partial sum of pi*rhs
     # against pi(z).  Summing from the near tail keeps every weight ratio
     # pi(k)/pi(z) <= 1, which is stable where the naive forward recurrence
-    # is not.
-    z = np.arange(n + 1)
-    logpi = binomial_logpmf(z, n, p)
+    # is not.  The partial sums s (at and below the mode) and t (above it)
+    # are accumulated one lattice point at a time, each step scaled by one
+    # ratio of neighbouring probabilities, <= 1 in the direction of the sum.
+    logpi = binomial_logpmf(np.arange(n + 1), n, p)
     mode = int(np.argmax(logpi))
-    g = np.zeros(n + 1)
-    for zi in range(n):
-        if zi <= mode:
-            k = np.arange(0, zi + 1)
-            s = float(np.dot(np.exp(logpi[k] - logpi[zi]), rhs[k]))
-            g[zi] = -s / (p * (n - zi))
-        else:
-            k = np.arange(zi + 1, n + 1)
-            s = float(np.dot(np.exp(logpi[k] - logpi[zi]), rhs[k]))
-            g[zi] = s / (p * (n - zi))
-    return g
+    dlog = np.diff(logpi)
+    down = [0.0] + np.exp(-dlog[:mode]).tolist()  # pi(z-1)/pi(z), z = 1..mode
+    up = np.exp(dlog[mode:]).tolist()        # pi(z+1)/pi(z), z = mode..n-1
+    g = [0.0] * (n + 1)
+    s = 0.0
+    for z in range(min(mode, n - 1) + 1):
+        s = s * down[z] + rhs[z]
+        g[z] = -s / (p * (n - z))
+    t = 0.0
+    for z in range(n - 1, mode, -1):
+        t = up[z - mode] * (rhs[z + 1] + t)
+        g[z] = t / (p * (n - z))
+    return np.array(g)
 
 
 def stein_residual(params: BinomialParams, target_set, g: np.ndarray) -> float:

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,13 @@ def fsum_runs(pairs) -> float:
             itertools.repeat(v, k) for v, k in pairs))
     except OverflowError:
         return math.inf
+
+
+def _product(a: float, b: float) -> float:
+    """a * b for nonnegative bounds a and b, and 0 when either is 0: a zero
+    bound makes the true product 0 even where the other bound is +inf (a
+    useless bound on a finite quantity), and inf * 0 would be NaN."""
+    return a * b if a and b else 0.0
 
 
 def _law(s: LatticePMF) -> tuple:
@@ -103,29 +111,43 @@ class IndependentSummandSpec:
         return fsum_runs((s.offset, k)
                          for s, k in runs(self.summands, _law)) % 1.0
 
+    @cached_property
+    def _rest_laws(self) -> list[tuple[LatticePMF, int, LatticePMF]]:
+        """(summand, run length, exact law of the sum of all other
+        summands) for each run of equal summands.  Removing any index of a
+        run leaves the same list of laws element by element, so one
+        convolution serves the whole run and both orders."""
+        out, i = [], 0
+        for s, k in runs(self.summands, _law):
+            rest = self.summands[:i] + self.summands[i + 1:]
+            if not rest:
+                raise ValueError("need at least two summands")
+            out.append((s, k, convolve_all(rest)))
+            i += k
+        return out
+
 
 def leave_one_out_smoothness(spec: IndependentSummandSpec, i: int, l: int) -> float:
     """Smoothness of the sum with summand i removed, computed exactly."""
-    rest = [s for j, s in enumerate(spec.summands) if j != i]
-    if not rest:
-        raise ValueError("need at least two summands")
-    return smoothness_functional(convolve_all(rest), l)
+    if not 0 <= i < len(spec.summands):
+        raise IndexError(f"summand index {i} out of range")
+    for _, k, rest in spec._rest_laws:
+        if i < k:
+            return smoothness_functional(rest, l)
+        i -= k
 
 
 def independent_sum_bound(spec: IndependentSummandSpec, l: int) -> BoundReport:
     """Approximation error bound for a sum of independent lattice summands.
 
     sigma^-2 (sum_i c_{l,i} rho_i + 1.75) with exact leave-one-out
-    smoothness constants c_{l,i}.  Within a run of equal summands the
-    rest-lists agree element by element, so c_{l,i} rho_i is the same to
-    the bit: a run costs one convolution and one rho.
+    smoothness constants c_{l,i}, which agree to the bit within a run of
+    equal summands: a run costs one rho per order, and its leave-one-out
+    law is built once for both orders.
     """
-    pairs = []
-    i = 0
-    for s, k in runs(spec.summands, _law):
-        pairs.append((leave_one_out_smoothness(spec, i, l) * rho(s), k))
-        i += k
-    return bound_from_theta(fsum_runs(pairs), spec.sigma2)
+    return bound_from_theta(
+        fsum_runs((smoothness_functional(rest, l) * rho(s), k)
+                  for s, k, rest in spec._rest_laws), spec.sigma2)
 
 
 def independent_sum_approximant(spec: IndependentSummandSpec) -> tuple[CenteringParams, LatticePMF]:
@@ -196,8 +218,8 @@ class DependenceTerm:
     def theta(self, l: int) -> float:
         _check_fields(self)
         c = self.c1 if l == 1 else self.c2
-        return c * (0.5 * self.m_xi_eta2 + self.m_xi_eta_tau
-                    + self.m_cov * self.m_tau)
+        return _product(c, 0.5 * self.m_xi_eta2 + self.m_xi_eta_tau
+                        + _product(self.m_cov, self.m_tau))
 
 
 @dataclass(frozen=True)
@@ -232,8 +254,9 @@ class PointTerm:
     def theta(self, l: int) -> float:
         _check_fields(self)
         c = self.c1 if l == 1 else self.c2
-        return c * (1.5 * self.palm_prod + 1.5 * self.plain_prod
-                    + 6.0 * self.mu_A * self.mu_B + 4.0 * self.mu_B * self.palm_B)
+        return _product(c, 1.5 * self.palm_prod + 1.5 * self.plain_prod
+                        + _product(6.0 * self.mu_A, self.mu_B)
+                        + _product(4.0 * self.mu_B, self.palm_B))
 
 
 @dataclass(frozen=True)
@@ -247,7 +270,8 @@ def point_process_bound(spec: PointProcessSpec, l: int,
     if l not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {l}")
     return bound_from_theta(
-        fsum_runs((t.weight * t.theta(l), k) for t, k in runs(spec.terms)),
+        fsum_runs((_product(t.weight, t.theta(l)), k)
+                  for t, k in runs(spec.terms)),
         sigma2)
 
 
@@ -266,7 +290,8 @@ class DecompositionTerm:
             raise ValueError("cov_terms and zvsum_terms differ in length")
         return fsum_runs((x, 1) for x in itertools.chain(
             (self.z2_term, *self.zv_terms),
-            (c * s for c, s in zip(self.cov_terms, self.zvsum_terms))))
+            (_product(c, s) for c, s in zip(self.cov_terms,
+                                            self.zvsum_terms))))
 
 
 @dataclass(frozen=True)
@@ -374,18 +399,57 @@ def smoothing_conditional(per_z) -> tuple[float, float]:
 # JSON "kind" of each spec whose fields serialize as they are.
 _KINDS = {LocalDependenceSpec: "local_dependence",
           PointProcessSpec: "point_process", DecomposableSpec: "decomposable"}
+# Most entries one JSON list may stand for once its repeats are expanded:
+# ten times the largest exact 2-runs model, so that a mistyped repeat is
+# refused before it allocates gigabytes.
+MAX_SPEC_ENTRIES = 10 ** 7
+
+
+def _run_entries(items, entry, key=None) -> list[dict]:
+    """One JSON object per run of equal items, with "repeat": k when the
+    run has k > 1 items."""
+    return [entry(x) | ({"repeat": k} if k > 1 else {})
+            for x, k in runs(items, key)]
 
 
 def spec_to_json(spec) -> str:
+    """The spec as JSON; each run of equal list entries is written once,
+    with its length as "repeat"."""
     if isinstance(spec, IndependentSummandSpec):
         doc = {"kind": "independent",
-               "summands": [{"offset": s.offset, "min_index": s.min_index,
-                             "probs": list(s.probs)} for s in spec.summands]}
+               "summands": _run_entries(
+                   spec.summands, lambda s: {"offset": s.offset,
+                                             "min_index": s.min_index,
+                                             "probs": list(s.probs)}, _law)}
     elif type(spec) in _KINDS:
-        doc = {"kind": _KINDS[type(spec)], **asdict(spec)}
+        doc = {"kind": _KINDS[type(spec)]}
+        for f in fields(spec):
+            value = getattr(spec, f.name)
+            doc[f.name] = (_run_entries(value, asdict)
+                           if isinstance(value, list) else value)
     else:
         raise TypeError(f"not a bound spec: {type(spec)!r}")
     return json.dumps(doc, indent=2)
+
+
+def _expand(entries: list, build) -> list:
+    """The list a JSON list of run entries stands for: each entry built
+    once and repeated "repeat" times (default 1), so a run shares one
+    object.  Every repeat of the list is checked before an entry is
+    built."""
+    if not all(isinstance(e, dict) for e in entries):
+        raise TypeError("spec list entries must be JSON objects")
+    repeats = [e.pop("repeat", 1) for e in entries]
+    for k in repeats:
+        if type(k) is not int or k < 1:
+            raise ValueError(f"repeat must be an integer >= 1, got {k!r}")
+    if sum(repeats) > MAX_SPEC_ENTRIES:
+        raise ValueError(f"a spec list may hold at most {MAX_SPEC_ENTRIES} "
+                         f"entries, its repeats add up to {sum(repeats)}")
+    out = []
+    for e, k in zip(entries, repeats):
+        out += [build(e)] * k
+    return out
 
 
 def spec_from_json(text: str):
@@ -393,20 +457,21 @@ def spec_from_json(text: str):
     try:
         kind = doc["kind"]
         if kind == "independent":
-            return IndependentSummandSpec(
-                [LatticePMF(s["offset"], s["min_index"], np.asarray(s["probs"]))
-                 for s in doc["summands"]])
+            return IndependentSummandSpec(_expand(
+                doc["summands"], lambda s: LatticePMF(
+                    s["offset"], s["min_index"], np.asarray(s["probs"]))))
         if kind == "local_dependence":
             return LocalDependenceSpec(
                 doc["sigma2"], doc["anchor"],
-                [DependenceTerm(**t) for t in doc["terms"]])
+                _expand(doc["terms"], lambda t: DependenceTerm(**t)))
         if kind == "point_process":
-            return PointProcessSpec([PointTerm(**t) for t in doc["terms"]])
+            return PointProcessSpec(
+                _expand(doc["terms"], lambda t: PointTerm(**t)))
         if kind == "decomposable":
             return DecomposableSpec(
                 doc["sigma2"], doc["anchor"],
-                [DecompositionTerm(**t) for t in doc["terms_l1"]],
-                [DecompositionTerm(**t) for t in doc["terms_l2"]])
+                _expand(doc["terms_l1"], lambda t: DecompositionTerm(**t)),
+                _expand(doc["terms_l2"], lambda t: DecompositionTerm(**t)))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed bound spec: {exc}") from exc
     raise ValueError(f"unknown spec kind {doc.get('kind')!r}")

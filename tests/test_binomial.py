@@ -143,7 +143,43 @@ class TestCenteredBinomial:
             assert s2 - 1.0 <= cb.variance() <= s2 + 1.0
 
 
+def near_tail_solution(params: BinomialParams, target) -> np.ndarray:
+    """The O(n^2) reference: each g(z) a dot product of pi(k)/pi(z) <= 1
+    against the right-hand side over the near tail of z."""
+    n, p = params.n, params.p
+    h = np.zeros(n + 1)
+    h[list(target)] = 1.0
+    rhs = h - float(np.dot(binomial_pmf(params).probs, h))
+    logpi = binomial_logpmf(np.arange(n + 1), n, p)
+    mode = int(np.argmax(logpi))
+    g = np.zeros(n + 1)
+    for z in range(n):
+        k = np.arange(0, z + 1) if z <= mode else np.arange(z + 1, n + 1)
+        s = float(np.dot(np.exp(logpi[k] - logpi[z]), rhs[k]))
+        g[z] = (-s if z <= mode else s) / (p * (n - z))
+    return g
+
+
 class TestSteinSolution:
+    # Not n = 300 at p = 0.05: binomial_pmf trims pi(300) = 0.05^300, which
+    # underflows, and the Stein right-hand side then fails on the shorter
+    # pmf, as at n >= 814 for p = 0.4.
+    @pytest.mark.parametrize("n,p", [(1, 0.4), (8, 0.4), (200, 0.4),
+                                     (800, 0.4), (1000, 0.5), (200, 0.05),
+                                     (200, 0.95)])
+    def test_matches_near_tail_reference(self, n, p):
+        rng = np.random.default_rng(n)
+        params = BinomialParams(n, p)
+        share = rng.choice(n + 1, size=max(1, (n + 1) // 4), replace=False)
+        for target in ([0], [n // 2], [n], sorted(share.tolist())):
+            g = stein_solution(params, target)
+            ref = near_tail_solution(params, target)
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert g[n] == 0.0
+            assert stein_residual(params, target, g) < 1e-9
+            assert np.abs(g).max() <= sup_norm_bound(params) + 1e-12
+            assert np.abs(np.diff(g)).max() <= ehm_bound(params) + 1e-12
+
     def test_tiny_instance(self):
         g = stein_solution(BinomialParams(1, 0.5), {0})
         assert g[0] == pytest.approx(-1.0)

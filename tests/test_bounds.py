@@ -1,9 +1,12 @@
+import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from binapprox import bounds
+from binapprox import bounds, oracle
 from binapprox.binomial import Inapplicable
 from binapprox.bounds import (BoundReport, DecomposableSpec, DecompositionTerm,
                               DependenceTerm, IndependentSummandSpec,
@@ -103,6 +106,29 @@ class TestIndependentSumBound:
                           for i, s in enumerate(spec.summands))
         assert independent_sum_bound(spec, l) \
             == bound_from_theta(theta, spec.sigma2)
+
+    def test_rest_law_built_once_per_run_for_both_orders(self, monkeypatch):
+        calls = []
+        convolve = bounds.convolve_all
+        monkeypatch.setattr(bounds, "convolve_all",
+                            lambda pmfs: calls.append(len(pmfs))
+                            or convolve(pmfs))
+        laws = {ch: centered_bernoulli(p)
+                for ch, p in zip("abc", (0.3, 0.5, 0.8))}
+        spec = IndependentSummandSpec([laws[ch] for ch in "aaabbbbcc"])
+        reports = [bound_report(spec, l) for l in (1, 2)]
+        assert calls == [8, 8, 8]
+        for l, rep in zip((1, 2), reports):
+            theta = math.fsum(leave_one_out_smoothness(spec, i, l) * rho(s)
+                              for i, s in enumerate(spec.summands))
+            assert rep == bound_from_theta(theta, spec.sigma2)
+        assert calls == [8, 8, 8]
+
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_leave_one_out_index_out_of_range(self, i):
+        spec = IndependentSummandSpec([centered_bernoulli(0.5)] * 4)
+        with pytest.raises(IndexError):
+            leave_one_out_smoothness(spec, i, 1)
 
     @pytest.mark.parametrize("n", [10, 16, 24])
     @pytest.mark.parametrize("l,dist", [(1, "tv"), (2, "loc")])
@@ -363,6 +389,26 @@ class TestBadSpecValues:
         values = [local_dependence_bound(spec, l).value for l in (1, 2)]
         assert math.inf in values and not any(map(math.isnan, values))
 
+    def test_zero_bound_times_infinite_bound_is_zero(self):
+        # A zero moment sum contributes 0 whatever c is, and +inf only
+        # multiplies a positive bound.
+        zero = DependenceTerm(0.0, 0.0, 0.0, math.inf, math.inf, 2.0)
+        pos = DependenceTerm(0.0, 0.0, 0.5, 0.5, math.inf, 2.0)
+        assert [zero.theta(l) for l in (1, 2)] == [0.0, 0.0]
+        assert [pos.theta(l) for l in (1, 2)] == [math.inf, 0.5]
+        spec = LocalDependenceSpec(4.0, 0.0, [zero, zero])
+        assert local_dependence_bound(spec, 1).value == 1.75 / 4.0
+        point = PointTerm(weight=math.inf, palm_prod=0.0, plain_prod=0.0,
+                          mu_A=0.0, mu_B=math.inf, palm_B=0.0,
+                          c1=math.inf, c2=0.0)
+        assert point.theta(1) == 0.0
+        assert point_process_bound(PointProcessSpec([point]), 2, 4.0).value \
+            == 1.75 / 4.0
+        term = DecompositionTerm(0.0, [0.0], [0.0, 0.5], [math.inf, 0.0])
+        assert term.theta() == 0.0
+        assert DecompositionTerm(0.0, [], [0.5], [math.inf]).theta() \
+            == math.inf
+
     @pytest.mark.parametrize("term", [
         DecompositionTerm(-0.5), DecompositionTerm(0.5, [math.nan]),
         DecompositionTerm(0.5, [0.1], [-0.2], [0.3]),
@@ -470,3 +516,82 @@ class TestSpecSerialization:
             spec_from_json('{"kind": "nonsense"}')
         with pytest.raises(ValueError):
             spec_from_json('{"terms": []}')
+        with pytest.raises(ValueError, match="objects"):
+            spec_from_json('{"kind": "point_process", "terms": [3]}')
+
+
+# Specs of every kind with runs of equal entries: shared objects, equal
+# copies and single entries.
+_D = DependenceTerm(0.4, 0.3, 0.2, 1.5, 0.5, 1.25)
+_P = PointTerm(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)
+_Z = DecompositionTerm(0.5, [0.1], [0.2], [0.3])
+RUN_SPECS = {
+    "local_dependence": LocalDependenceSpec(
+        4.0, 0.25, [_D] * 3 + [DependenceTerm(0.4, 0.3, 0.2, 1.5, 0.5, 1.25),
+                               DependenceTerm(0.1, 0.3, 0.2, 1.5, 0.5, 1.25)]),
+    "point_process": PointProcessSpec(
+        [_P, PointTerm(1, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)] + [_P] * 4),
+    "decomposable": DecomposableSpec(
+        9.0, 0.0, [_Z] * 5 + [DecompositionTerm(1.0)],
+        [DecompositionTerm(1.0)] + [_Z] * 5),
+}
+
+
+class TestRunLengthSpecs:
+    @pytest.mark.parametrize("kind", list(RUN_SPECS))
+    def test_round_trip_with_repeats(self, kind):
+        spec = RUN_SPECS[kind]
+        doc = json.loads(spec_to_json(spec))
+        out = spec_from_json(json.dumps(doc))
+        assert doc["kind"] == kind and out == spec
+        for f in dataclasses.fields(spec):
+            items = getattr(spec, f.name)
+            if isinstance(items, list):
+                assert [e.get("repeat", 1) for e in doc[f.name]] \
+                    == [k for _, k in runs(items)]
+                # Each run parses to one shared object.
+                assert len({id(x) for x in getattr(out, f.name)}) \
+                    == len(runs(items))
+        for l in (1, 2):
+            sigma2 = 4.0 if kind == "point_process" else None
+            assert bound_report(out, l, sigma2) == bound_report(spec, l, sigma2)
+
+    def test_independent_round_trip_with_repeats(self):
+        a, b = centered_bernoulli(0.3), centered_bernoulli(0.5)
+        spec = IndependentSummandSpec([a, a, centered_bernoulli(0.3), b, a, b])
+        text = spec_to_json(spec)
+        assert [e.get("repeat", 1) for e in json.loads(text)["summands"]] \
+            == [3, 1, 1, 1]
+        out = spec_from_json(text)
+        assert [bounds._law(s) for s in out.summands] \
+            == [bounds._law(s) for s in spec.summands]
+        for l in (1, 2):
+            assert bound_report(out, l) == bound_report(spec, l)
+
+    def test_no_repeat_key_without_runs(self):
+        spec = DecomposableSpec(9.0, 0.0, [_Z], [DecompositionTerm(1.0)])
+        assert spec_to_json(spec) == json.dumps(
+            {"kind": "decomposable", **dataclasses.asdict(spec)}, indent=2)
+
+    def test_total_above_cap_refused_before_building(self):
+        half = bounds.MAX_SPEC_ENTRIES // 2 + 1
+        doc = json.loads(spec_to_json(RUN_SPECS["point_process"]))
+        doc["terms"][0]["repeat"] = doc["terms"][2]["repeat"] = half
+        text = json.dumps(doc)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most"):
+                spec_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+
+    def test_large_two_runs_spec_is_small(self):
+        model = oracle.TwoRunsModel(10 ** 5, 0.4)
+        spec = oracle.two_runs_decomposable_spec(model)
+        text = spec_to_json(spec)
+        assert len(text) < 10 ** 4
+        out = spec_from_json(text)
+        for l in (1, 2):
+            assert bound_report(out, l) == bound_report(spec, l)

@@ -139,6 +139,29 @@ class TestBoundCommand:
         assert [(r["bound"], r["theta_sum"]) for r in rows] \
             == [("inf", "inf")] * 2
 
+    def test_infinite_c_with_zero_moments(self, zero_spec, tmp_path):
+        # inf * 0 would print nan; a zero moment sum contributes 0.
+        doc = json.loads(zero_spec.read_text())
+        doc["terms"][0]["c1"] = math.inf
+        zero_spec.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert main(["bound", str(zero_spec), "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_rows(out)
+        assert [(r["bound"], r["theta_sum"]) for r in rows] \
+            == [(repr(1.75 / 4.0), "0.0")] * 2
+
+    @pytest.mark.parametrize("repeat", [0, -1, 1.5, True, "3", None,
+                                        bounds.MAX_SPEC_ENTRIES + 1])
+    def test_bad_repeat_refused(self, zero_spec, tmp_path, capsys, repeat):
+        doc = json.loads(zero_spec.read_text())
+        doc["terms"][0]["repeat"] = repeat
+        zero_spec.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert main(["bound", str(zero_spec), "--out", str(out)]) \
+            == EXIT_USAGE
+        assert "repeat" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_independent_theta_sum_exact(self, tmp_path):
         # The printed theta sum is the sum itself, not a value back-solved
         # from the bound (which differs in the last bits for this spec).
