@@ -16,10 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import (LatticePMF, convolve_all, point_mass,
-                      smoothness_functional, tv_distance)
-from .binomial import CenteringParams, Inapplicable, centering_params, \
-    centered_binomial, check_variance, BinomialParams, binomial_pmf
+from .lattice import (LatticePMF, convolve_all, smoothness_functional,
+                      tv_distance)
+from .binomial import CenteringParams, centering_params, centered_binomial, \
+    check_variance, BinomialParams, binomial_pmf
 
 # Additive constant absorbed by every bound: the lattice-rounding and
 # perturbation terms plus the tail estimate, each at most 1/4, 1/4, 1/4, 1.
@@ -71,15 +71,30 @@ def _law(s: LatticePMF) -> tuple:
     return s.offset, s.min_index, s.probs.tobytes()
 
 
+def _check_order(l: int) -> None:
+    if l not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {l}")
+
+
+def _number(name: str, v):
+    """v, once it is an int or a float (numpy float64 too), not a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{name} must be a number, got {v!r}")
+    return v
+
+
 def _check_fields(term) -> None:
-    """Refuse a negative or NaN field of a bound term; +inf is legal (a
-    useless bound)."""
+    """Refuse a bound term field that is not a nonnegative number (for a
+    list field, a list of them): NaN is refused, +inf is legal (a useless
+    bound)."""
     for f in fields(term):
-        value = getattr(term, f.name)
-        for v in value if isinstance(value, list) else (value,):
-            if not v >= 0.0:
-                raise ValueError(f"{type(term).__name__}.{f.name} must be "
-                                 f"nonnegative, got {v!r}")
+        name = f"{type(term).__name__}.{f.name}"
+        value, many = getattr(term, f.name), f.default_factory is list
+        if many and not isinstance(value, list):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        for v in value if many else (value,):
+            if not _number(name, v) >= 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {v!r}")
 
 
 def rho(summand: LatticePMF) -> float:
@@ -194,9 +209,7 @@ def integer_sum_bound(summands: list[LatticePMF], metric: str) -> tuple[float, L
         bound = (8.0 * rho_sum / (sigma2 * denom)
                  + (3.25 + 0.25 / sigma) / sigma2)
     shift = math.ceil(mu - n / 2.0)
-    approximant = convolve_all([binomial_pmf(BinomialParams(n, 0.5)),
-                                point_mass(float(shift))])
-    return bound, approximant
+    return bound, binomial_pmf(BinomialParams(n, 0.5)).shift(shift)
 
 
 @dataclass(frozen=True)
@@ -216,6 +229,7 @@ class DependenceTerm:
     c2: float
 
     def theta(self, l: int) -> float:
+        _check_order(l)
         _check_fields(self)
         c = self.c1 if l == 1 else self.c2
         return _product(c, 0.5 * self.m_xi_eta2 + self.m_xi_eta_tau
@@ -231,8 +245,7 @@ class LocalDependenceSpec:
 
 def local_dependence_bound(spec: LocalDependenceSpec, l: int) -> BoundReport:
     """Bound for sums with a finite two-layer neighborhood structure."""
-    if l not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {l}")
+    _check_order(l)
     return bound_from_theta(
         fsum_runs((t.theta(l), k) for t, k in runs(spec.terms)), spec.sigma2)
 
@@ -252,6 +265,7 @@ class PointTerm:
     c2: float
 
     def theta(self, l: int) -> float:
+        _check_order(l)
         _check_fields(self)
         c = self.c1 if l == 1 else self.c2
         return _product(c, 1.5 * self.palm_prod + 1.5 * self.plain_prod
@@ -261,18 +275,16 @@ class PointTerm:
 
 @dataclass(frozen=True)
 class PointProcessSpec:
+    sigma2: float
     terms: list[PointTerm]
 
 
-def point_process_bound(spec: PointProcessSpec, l: int,
-                        sigma2: float) -> BoundReport:
+def point_process_bound(spec: PointProcessSpec, l: int) -> BoundReport:
     """Bound for the total point count of a locally dependent point process."""
-    if l not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {l}")
+    _check_order(l)
     return bound_from_theta(
         fsum_runs((_product(t.weight, t.theta(l)), k)
-                  for t, k in runs(spec.terms)),
-        sigma2)
+                  for t, k in runs(spec.terms)), spec.sigma2)
 
 
 @dataclass(frozen=True)
@@ -308,29 +320,22 @@ class DecomposableSpec:
 
 def decomposition_bound(spec: DecomposableSpec, l: int) -> BoundReport:
     """Bound for sums admitting an independent-part decomposition."""
-    if l not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {l}")
+    _check_order(l)
     terms = spec.terms_l1 if l == 1 else spec.terms_l2
     return bound_from_theta(fsum_runs((t.theta(), k) for t, k in runs(terms)),
                             spec.sigma2)
 
 
-def bound_report(spec, l: int, sigma2: float | None = None) -> BoundReport:
-    """The order-l bound of a spec of any kind; point-process specs carry no
-    variance and take sigma2, which any other spec refuses.  Calculators are
-    looked up at call time, so a wrapper rebound in their place (a tracer's,
-    say) sees these calls."""
-    if isinstance(spec, PointProcessSpec):
-        if sigma2 is None:
-            raise Inapplicable("point-process specs need sigma2")
-        return point_process_bound(spec, l, sigma2)
-    if sigma2 is not None:
-        raise ValueError("sigma2 is only for point-process specs; other "
-                         "specs carry their own variance")
+def bound_report(spec, l: int) -> BoundReport:
+    """The order-l bound of a spec of any kind.  Calculators are looked up
+    at call time, so a wrapper rebound in their place (a tracer's, say)
+    sees these calls."""
     if isinstance(spec, IndependentSummandSpec):
         return independent_sum_bound(spec, l)
     if isinstance(spec, LocalDependenceSpec):
         return local_dependence_bound(spec, l)
+    if isinstance(spec, PointProcessSpec):
+        return point_process_bound(spec, l)
     if isinstance(spec, DecomposableSpec):
         return decomposition_bound(spec, l)
     raise TypeError(f"not a bound spec: {type(spec)!r}")
@@ -366,8 +371,7 @@ def block_smoothing_constant(l: int, m: int, k: int, p0: float,
     independent blocks whose pinning events have probabilities p0, p1:
     2/sqrt(p_min (m-2)) for l = 1 and 8/(p_min (m-k)) for l = 2, with
     p_min = min(1/2, p0, p1); the second order drops k blocks."""
-    if l not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {l}")
+    _check_order(l)
     if (l == 1 and m <= 2) or (l == 2 and m <= k):
         raise ValueError(f"too few blocks (m={m}) for order {l}")
     if min(p0, p1) <= 0.0:
@@ -396,9 +400,13 @@ def smoothing_conditional(per_z) -> tuple[float, float]:
 # -- JSON round-trips for the CLI ---------------------------------------
 
 
-# JSON "kind" of each spec whose fields serialize as they are.
-_KINDS = {LocalDependenceSpec: "local_dependence",
-          PointProcessSpec: "point_process", DecomposableSpec: "decomposable"}
+# Spec class and list-entry class of each JSON "kind" whose fields
+# serialize as they are: each list as run entries, each scalar (a field
+# annotated "float") as a number.
+_TABLE = {"local_dependence": (LocalDependenceSpec, DependenceTerm),
+          "point_process": (PointProcessSpec, PointTerm),
+          "decomposable": (DecomposableSpec, DecompositionTerm)}
+_KINDS = {cls: kind for kind, (cls, _) in _TABLE.items()}
 # Most entries one JSON list may stand for once its repeats are expanded:
 # ten times the largest exact 2-runs model, so that a mistyped repeat is
 # refused before it allocates gigabytes.
@@ -460,18 +468,12 @@ def spec_from_json(text: str):
             return IndependentSummandSpec(_expand(
                 doc["summands"], lambda s: LatticePMF(
                     s["offset"], s["min_index"], np.asarray(s["probs"]))))
-        if kind == "local_dependence":
-            return LocalDependenceSpec(
-                doc["sigma2"], doc["anchor"],
-                _expand(doc["terms"], lambda t: DependenceTerm(**t)))
-        if kind == "point_process":
-            return PointProcessSpec(
-                _expand(doc["terms"], lambda t: PointTerm(**t)))
-        if kind == "decomposable":
-            return DecomposableSpec(
-                doc["sigma2"], doc["anchor"],
-                _expand(doc["terms_l1"], lambda t: DecompositionTerm(**t)),
-                _expand(doc["terms_l2"], lambda t: DecompositionTerm(**t)))
+        if kind in _TABLE:
+            cls, entry = _TABLE[kind]
+            return cls(**{
+                f.name: (_number(f.name, doc[f.name]) if f.type == "float"
+                         else _expand(doc[f.name], lambda t: entry(**t)))
+                for f in fields(cls)})
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed bound spec: {exc}") from exc
     raise ValueError(f"unknown spec kind {doc.get('kind')!r}")

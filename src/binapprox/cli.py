@@ -64,7 +64,7 @@ def cmd_bound(args) -> int:
     lines = _header({"subcommand": "bound", "spec_file": args.spec_file})
     lines.append("metric,l,bound,sigma2,theta_sum,constant")
     for l, metric in ((1, "tv"), (2, "loc")):
-        rep = _bounds.bound_report(spec, l, args.sigma2)
+        rep = _bounds.bound_report(spec, l)
         lines.append(",".join(_fmt(v) for v in
                               (metric, l, rep.value, rep.sigma2, rep.theta_sum,
                                _bounds.ROUNDING_CONSTANT)))
@@ -195,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate a bound spec from JSON")
     p.add_argument("spec_file")
-    p.add_argument("--sigma2", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound)
 

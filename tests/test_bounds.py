@@ -230,19 +230,21 @@ class TestLocalDependenceBound:
 
 class TestPointProcessBound:
     def test_zero_moments(self):
-        spec = PointProcessSpec([PointTerm(10.0, 0, 0, 0, 0, 0, 0.1, 0.2)])
-        assert point_process_bound(spec, 1, 4.0).value == pytest.approx(1.75 / 4.0)
+        spec = PointProcessSpec(4.0,
+                                [PointTerm(10.0, 0, 0, 0, 0, 0, 0.1, 0.2)])
+        assert point_process_bound(spec, 1).value == pytest.approx(1.75 / 4.0)
 
     def test_homogeneous_assembly(self):
-        spec = PointProcessSpec([PointTerm(
+        spec = PointProcessSpec(4.0, [PointTerm(
             weight=10.0, palm_prod=2.0, plain_prod=2.0, mu_A=0.5, mu_B=0.5,
             palm_B=1.0, c1=0.1, c2=0.1)])
-        assert point_process_bound(spec, 1, 4.0).value == pytest.approx(2.8125)
+        assert point_process_bound(spec, 1).value == pytest.approx(2.8125)
 
     def test_rejects_negative_weight(self):
-        spec = PointProcessSpec([PointTerm(-1.0, 0, 0, 0, 0, 0, 0.1, 0.1)])
+        spec = PointProcessSpec(4.0,
+                                [PointTerm(-1.0, 0, 0, 0, 0, 0, 0.1, 0.1)])
         with pytest.raises(ValueError):
-            point_process_bound(spec, 1, 4.0)
+            point_process_bound(spec, 1)
 
 
 class TestDecompositionBound:
@@ -288,35 +290,17 @@ class TestBoundReport:
         dec = DecomposableSpec(9.0, 0.0,
                                [DecompositionTerm(0.5, [0.1], [0.2], [0.3])],
                                [DecompositionTerm(1.0)])
-        pp = PointProcessSpec([PointTerm(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)])
+        pp = PointProcessSpec(4.0,
+                              [PointTerm(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)])
         for l in (1, 2):
             assert bound_report(ind, l) == independent_sum_bound(ind, l)
             assert bound_report(dep, l) == local_dependence_bound(dep, l)
             assert bound_report(dec, l) == decomposition_bound(dec, l)
-            assert bound_report(pp, l, 4.0) == point_process_bound(pp, l, 4.0)
-
-    def test_point_process_needs_sigma2(self):
-        pp = PointProcessSpec([PointTerm(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)])
-        with pytest.raises(Inapplicable):
-            bound_report(pp, 1)
+            assert bound_report(pp, l) == point_process_bound(pp, l)
 
     def test_rejects_non_spec(self):
         with pytest.raises(TypeError):
             bound_report(object(), 1)
-
-    def test_stray_sigma2_refused(self):
-        # Only a point-process spec takes sigma2; every other spec carries
-        # its own, and a second one is a usage error, not ignored.
-        specs = [IndependentSummandSpec([centered_bernoulli(0.5)] * 12),
-                 LocalDependenceSpec(
-                     4.0, 0.0, [DependenceTerm(0.4, 0.3, 0.2, 1.5, 0.5, 1.25)]),
-                 DecomposableSpec(9.0, 0.0, [DecompositionTerm(0.5)],
-                                  [DecompositionTerm(1.0)])]
-        for spec in specs:
-            for l in (1, 2):
-                with pytest.raises(ValueError, match="sigma2") as exc:
-                    bound_report(spec, l, 4.0)
-                assert not isinstance(exc.value, Inapplicable)
 
 
 class TestSummation:
@@ -366,13 +350,14 @@ class TestSummation:
 
 
 class TestBadSpecValues:
-    """A negative or NaN field of a bound term is refused by its theta;
-    +inf is legal and gives a legal, useless bound."""
+    """A field of a bound term that is negative, NaN or not a number is
+    refused by its theta; +inf is legal and gives a legal, useless bound."""
 
     FIELDS = ("m_xi_eta2", "m_xi_eta_tau", "m_cov", "m_tau", "c1", "c2")
 
     @pytest.mark.parametrize("name", FIELDS)
-    @pytest.mark.parametrize("bad", [-50.0, -1e-300, math.nan])
+    @pytest.mark.parametrize("bad", [-50.0, -1e-300, math.nan, "0.5", True,
+                                     None, [0.5]])
     def test_dependence_term_refused(self, name, bad):
         kwargs = dict(zip(self.FIELDS, (0.4, 0.3, 0.2, 1.5, 0.5, 1.25)))
         kwargs[name] = bad
@@ -389,6 +374,29 @@ class TestBadSpecValues:
         values = [local_dependence_bound(spec, l).value for l in (1, 2)]
         assert math.inf in values and not any(map(math.isnan, values))
 
+    def test_numpy_float64_legal(self):
+        values = (0.4, 0.3, 0.2, 1.5, 0.5, 1.25)
+        term = DependenceTerm(*map(np.float64, values))
+        assert [term.theta(l) for l in (1, 2)] \
+            == [DependenceTerm(*values).theta(l) for l in (1, 2)]
+
+    @pytest.mark.parametrize("term", [
+        DependenceTerm(0.4, 0.3, 0.2, 1.5, 0.5, 1.25),
+        PointTerm(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)],
+        ids=["dependence", "point"])
+    @pytest.mark.parametrize("l", [0, 3, 7])
+    def test_theta_refuses_order(self, term, l):
+        with pytest.raises(ValueError, match="order must be 1 or 2"):
+            term.theta(l)
+
+    @pytest.mark.parametrize("spec,calc", [
+        (PointProcessSpec(4.0, []), point_process_bound),
+        (DecomposableSpec(9.0, 0.0, [], []), decomposition_bound)],
+        ids=["point_process", "decomposable"])
+    def test_empty_spec_refuses_order(self, spec, calc):
+        with pytest.raises(ValueError, match="order must be 1 or 2"):
+            calc(spec, 3)
+
     def test_zero_bound_times_infinite_bound_is_zero(self):
         # A zero moment sum contributes 0 whatever c is, and +inf only
         # multiplies a positive bound.
@@ -402,7 +410,7 @@ class TestBadSpecValues:
                           mu_A=0.0, mu_B=math.inf, palm_B=0.0,
                           c1=math.inf, c2=0.0)
         assert point.theta(1) == 0.0
-        assert point_process_bound(PointProcessSpec([point]), 2, 4.0).value \
+        assert point_process_bound(PointProcessSpec(4.0, [point]), 2).value \
             == 1.75 / 4.0
         term = DecompositionTerm(0.0, [0.0], [0.0, 0.5], [math.inf, 0.0])
         assert term.theta() == 0.0
@@ -413,7 +421,9 @@ class TestBadSpecValues:
         DecompositionTerm(-0.5), DecompositionTerm(0.5, [math.nan]),
         DecompositionTerm(0.5, [0.1], [-0.2], [0.3]),
         DecompositionTerm(0.5, [0.1], [0.2], [0.3, 0.4]),
-        DecompositionTerm(0.5, [0.1], [0.2, 0.1], [0.3])])
+        DecompositionTerm(0.5, [0.1], [0.2, 0.1], [0.3]),
+        DecompositionTerm("0.5"), DecompositionTerm(0.5, [0.1, False]),
+        DecompositionTerm(0.5, 0.1), DecompositionTerm([0.5])])
     def test_decomposition_term_refused(self, term):
         spec = DecomposableSpec(9.0, 0.0, [term], [term])
         with pytest.raises(ValueError):
@@ -429,7 +439,8 @@ class TestBadSpecValues:
                       mu_B=0.5, palm_B=1.0, c1=0.1, c2=0.1)
         kwargs[field] = -1.0
         with pytest.raises(ValueError, match=field):
-            point_process_bound(PointProcessSpec([PointTerm(**kwargs)]), 1, 4.0)
+            point_process_bound(PointProcessSpec(4.0, [PointTerm(**kwargs)]),
+                                1)
 
 
 class TestSmoothingBounds:
@@ -502,7 +513,8 @@ class TestSpecSerialization:
         assert out == spec
 
     def test_point_process_round_trip(self):
-        spec = PointProcessSpec([PointTerm(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)])
+        spec = PointProcessSpec(4.0,
+                                [PointTerm(10, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)])
         assert spec_from_json(spec_to_json(spec)) == spec
 
     def test_decomposable_round_trip(self):
@@ -517,7 +529,18 @@ class TestSpecSerialization:
         with pytest.raises(ValueError):
             spec_from_json('{"terms": []}')
         with pytest.raises(ValueError, match="objects"):
-            spec_from_json('{"kind": "point_process", "terms": [3]}')
+            spec_from_json('{"kind": "point_process", "sigma2": 4.0, '
+                           '"terms": [3]}')
+
+    @pytest.mark.parametrize("kind", ["local_dependence", "point_process",
+                                      "decomposable"])
+    @pytest.mark.parametrize("bad", ["4", None, True, [4.0], {}])
+    def test_non_number_scalar_refused(self, kind, bad):
+        doc = json.loads(spec_to_json(RUN_SPECS[kind]))
+        doc["sigma2"] = bad
+        with pytest.raises(ValueError, match="sigma2 must be a number") as exc:
+            spec_from_json(json.dumps(doc))
+        assert not isinstance(exc.value, Inapplicable)
 
 
 # Specs of every kind with runs of equal entries: shared objects, equal
@@ -530,7 +553,7 @@ RUN_SPECS = {
         4.0, 0.25, [_D] * 3 + [DependenceTerm(0.4, 0.3, 0.2, 1.5, 0.5, 1.25),
                                DependenceTerm(0.1, 0.3, 0.2, 1.5, 0.5, 1.25)]),
     "point_process": PointProcessSpec(
-        [_P, PointTerm(1, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)] + [_P] * 4),
+        4.0, [_P, PointTerm(1, 2, 2, 0.5, 0.5, 1, 0.1, 0.2)] + [_P] * 4),
     "decomposable": DecomposableSpec(
         9.0, 0.0, [_Z] * 5 + [DecompositionTerm(1.0)],
         [DecompositionTerm(1.0)] + [_Z] * 5),
@@ -553,8 +576,7 @@ class TestRunLengthSpecs:
                 assert len({id(x) for x in getattr(out, f.name)}) \
                     == len(runs(items))
         for l in (1, 2):
-            sigma2 = 4.0 if kind == "point_process" else None
-            assert bound_report(out, l, sigma2) == bound_report(spec, l, sigma2)
+            assert bound_report(out, l) == bound_report(spec, l)
 
     def test_independent_round_trip_with_repeats(self):
         a, b = centered_bernoulli(0.3), centered_bernoulli(0.5)

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -53,24 +55,35 @@ class TestBoundCommand:
         bad.write_text('{"kind": "nope"}')
         assert main(["bound", str(bad)]) == EXIT_USAGE
 
-    def test_point_process_needs_sigma2(self, tmp_path):
-        doc = {"kind": "point_process",
-               "terms": [{"weight": 1.0, "palm_prod": 0.0, "plain_prod": 0.0,
-                          "mu_A": 0.0, "mu_B": 0.0, "palm_B": 0.0,
-                          "c1": 1.0, "c2": 1.0}]}
+    POINT_PROCESS = {"kind": "point_process", "sigma2": 4.0,
+                     "terms": [{"weight": 1.0, "palm_prod": 0.0,
+                                "plain_prod": 0.0, "mu_A": 0.0, "mu_B": 0.0,
+                                "palm_B": 0.0, "c1": 1.0, "c2": 1.0}]}
+
+    def test_point_process_sigma2_from_file(self, tmp_path):
+        path = tmp_path / "pp.json"
+        path.write_text(json.dumps(self.POINT_PROCESS))
+        out = tmp_path / "pp.csv"
+        assert main(["bound", str(path), "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_rows(out)
+        assert [r["sigma2"] for r in rows] == ["4.0"] * 2
+
+    def test_point_process_needs_sigma2(self, tmp_path, capsys):
+        # A file written for the removed --sigma2 flag is a malformed spec.
+        doc = dict(self.POINT_PROCESS)
+        del doc["sigma2"]
         path = tmp_path / "pp.json"
         path.write_text(json.dumps(doc))
-        assert main(["bound", str(path)]) == EXIT_INAPPLICABLE
-        out = tmp_path / "pp.csv"
-        assert main(["bound", str(path), "--sigma2", "4.0",
-                     "--out", str(out)]) == EXIT_OK
+        assert main(["bound", str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "sigma2" in err
 
     def test_stray_sigma2_refused(self, zero_spec, tmp_path, capsys):
-        # The spec has its own variance; --sigma2 is refused, not ignored.
+        # Every spec carries its own variance; --sigma2 is no option.
         out = tmp_path / "out.csv"
         assert main(["bound", str(zero_spec), "--sigma2", "4",
                      "--out", str(out)]) == EXIT_USAGE
-        assert "sigma2" in capsys.readouterr().err
+        assert "unrecognized arguments: --sigma2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_small_variance_inapplicable(self, tmp_path):
@@ -80,18 +93,18 @@ class TestBoundCommand:
         path.write_text(json.dumps(doc))
         assert main(["bound", str(path)]) == EXIT_INAPPLICABLE
 
-    @pytest.mark.parametrize("doc,extra,code", [
+    @pytest.mark.parametrize("doc,code", [
         ({"kind": "independent", "summands": [
             {"offset": 0.0, "min_index": -1, "probs": [0.25, math.nan, 0.25]}
-        ] * 8}, [], EXIT_USAGE),
+        ] * 8}, EXIT_USAGE),
         ({"kind": "local_dependence", "sigma2": math.nan, "anchor": 0.0,
-          "terms": []}, [], EXIT_INAPPLICABLE),
-        ({"kind": "point_process", "terms": []}, ["--sigma2", "nan"],
+          "terms": []}, EXIT_INAPPLICABLE),
+        ({"kind": "point_process", "sigma2": math.nan, "terms": []},
          EXIT_INAPPLICABLE)], ids=["independent", "local", "point_process"])
-    def test_nan_spec_refused(self, tmp_path, capsys, doc, extra, code):
+    def test_nan_spec_refused(self, tmp_path, capsys, doc, code):
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(doc))
-        assert main(["bound", str(path)] + extra) == code
+        assert main(["bound", str(path)]) == code
         out, err = capsys.readouterr()
         assert out == "" and "got nan" in err
 
@@ -116,8 +129,25 @@ class TestBoundCommand:
         ({"kind": "decomposable", "sigma2": 4.0, "anchor": 0.0,
           "terms_l1": [{"z2_term": 0.5, "cov_terms": [0.1, 0.2],
                         "zvsum_terms": [0.3]}],
-          "terms_l2": [{"z2_term": 0.5}]}, "zvsum_terms")],
-        ids=["negative", "nan", "orders", "pairs"])
+          "terms_l2": [{"z2_term": 0.5}]}, "zvsum_terms"),
+        ({"kind": "local_dependence", "sigma2": "4", "anchor": 0.0,
+          "terms": []}, "sigma2 must be a number, got '4'"),
+        ({"kind": "local_dependence", "sigma2": None, "anchor": 0.0,
+          "terms": []}, "sigma2 must be a number, got None"),
+        ({"kind": "local_dependence", "sigma2": 4.0, "anchor": 0.0,
+          "terms": [{"m_xi_eta2": "1", "m_xi_eta_tau": 0.0, "m_cov": 0.0,
+                     "m_tau": 0.0, "c1": 1.0, "c2": 2.0}]},
+         "m_xi_eta2 must be a number, got '1'"),
+        ({"kind": "local_dependence", "sigma2": 4.0, "anchor": 0.0,
+          "terms": [{"m_xi_eta2": 0.0, "m_xi_eta_tau": 0.0, "m_cov": 0.0,
+                     "m_tau": 0.0, "c1": True, "c2": 2.0}]},
+         "c1 must be a number, got True"),
+        ({"kind": "decomposable", "sigma2": 4.0, "anchor": 0.0,
+          "terms_l1": [{"z2_term": 0.5, "zv_terms": [0.1, "0.2"]}],
+          "terms_l2": [{"z2_term": 0.5}]}, "zv_terms must be a number")],
+        ids=["negative", "nan", "orders", "pairs", "string_sigma2",
+             "null_sigma2", "string_field", "bool_field",
+             "string_list_entry"])
     def test_bad_spec_value_refused(self, tmp_path, capsys, doc, needle):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -337,6 +367,19 @@ def test_sweep_script_preset_is_acceptance_sweep(app, scales, reps, flag,
     assert (args.app, args.scales, args.reps, args.seed, args.a) \
         == (app, [float(s) for s in scales], reps, RATE_SEED, 1.0)
     assert getattr(args, flag) == value
+
+
+def test_readme_cli_section_names_every_long_option():
+    # A flag removed from the parser but still documented fails here, and
+    # so does a new flag that README does not name.
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in subcommands.choices.values() for a in p._actions
+               for o in a.option_strings if o.startswith("--")}
+    assert documented == options - {"--help"}
 
 
 class TestUsageErrors:

@@ -53,7 +53,7 @@ CASES = {
                                "--p", "0.3"],
     "bound_decomposable": ["bound", "spec.json"],
     "bound_local_dependence": ["bound", "spec.json"],
-    "bound_point_process": ["bound", "spec.json", "--sigma2", "4.0"],
+    "bound_point_process": ["bound", "spec.json"],
     "bound_independent": ["bound", "spec.json"],
 }
 
@@ -72,10 +72,10 @@ SPECS = {
     "bound_local_dependence": lambda: oracle.two_runs_dependence_spec(
         oracle.TwoRunsModel(60, 0.4)),
     "bound_point_process": lambda: bounds.PointProcessSpec(
-        [bounds.PointTerm(weight=w, palm_prod=0.3 * w, plain_prod=0.7,
-                          mu_A=0.1, mu_B=0.45 / w, palm_B=0.2 + w,
-                          c1=1.3, c2=2.9)
-         for w in (0.25, 1.5, 3.125)]),
+        4.0, [bounds.PointTerm(weight=w, palm_prod=0.3 * w, plain_prod=0.7,
+                               mu_A=0.1, mu_B=0.45 / w, palm_B=0.2 + w,
+                               c1=1.3, c2=2.9)
+              for w in (0.25, 1.5, 3.125)]),
     # Runs of equal summands a a b b b a c c, each a separate object after
     # the JSON round-trip: pins the leave-one-out reuse across runs.
     "bound_independent": lambda: bounds.IndependentSummandSpec(
