@@ -16,11 +16,10 @@ from .binomial import (BinomialParams, CenteringParams, binomial_pmf,
 from .bounds import (BoundReport, bound_report, IndependentSummandSpec,
                      LocalDependenceSpec, DependenceTerm, PointProcessSpec,
                      PointTerm, DecomposableSpec, DecompositionTerm, rho,
-                     leave_one_out_smoothness, independent_sum_bound,
-                     independent_sum_approximant, integer_sum_bound,
-                     local_dependence_bound, point_process_bound,
-                     decomposition_bound, smoothing_bounds,
-                     smoothing_conditional, step_overlap,
+                     independent_sum_bound, independent_sum_approximant,
+                     integer_sum_bound, local_dependence_bound,
+                     point_process_bound, decomposition_bound,
+                     smoothing_bounds, smoothing_conditional, step_overlap,
                      spec_to_json, spec_from_json)
 from .oracle import (TwoRunsModel, exact_sum_pmf, two_runs_pmf,
                      two_runs_dependence_spec, two_runs_decomposable_spec,

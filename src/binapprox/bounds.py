@@ -11,13 +11,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
-import numpy as np
-
-from .lattice import (LatticePMF, convolve_all, smoothness_functional,
-                      tv_distance)
+from .lattice import (LatticePMF, _number, convolve_all,
+                      smoothness_functional, tv_distance)
 from .binomial import CenteringParams, centering_params, centered_binomial, \
     check_variance, BinomialParams, binomial_pmf
 
@@ -42,11 +40,11 @@ def bound_from_theta(theta_sum: float, sigma2: float) -> BoundReport:
                        theta_sum, sigma2)
 
 
-def runs(items, key=None) -> list[tuple]:
-    """(first item, length) of each maximal run of adjacent items with equal
-    keys (default: the items; ``==`` is immediate for one shared object)."""
+def runs(items) -> list[tuple]:
+    """(first item, length) of each maximal run of adjacent equal items
+    (``==`` is immediate for one shared object)."""
     return [(run[0], len(run)) for run in
-            (list(group) for _, group in itertools.groupby(items, key))]
+            (list(group) for _, group in itertools.groupby(items))]
 
 
 def fsum_runs(pairs) -> float:
@@ -66,21 +64,9 @@ def _product(a: float, b: float) -> float:
     return a * b if a and b else 0.0
 
 
-def _law(s: LatticePMF) -> tuple:
-    """Run key of a lattice law: its lattice and the bytes of its probs."""
-    return s.offset, s.min_index, s.probs.tobytes()
-
-
 def _check_order(l: int) -> None:
     if l not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {l}")
-
-
-def _number(name: str, v):
-    """v, once it is an int or a float (numpy float64 too), not a bool."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{name} must be a number, got {v!r}")
-    return v
 
 
 def _check_fields(term) -> None:
@@ -112,19 +98,17 @@ class IndependentSummandSpec:
     summands: list[LatticePMF]
 
     def __post_init__(self):
-        for s, _ in runs(self.summands, _law):
+        for s, _ in runs(self.summands):
             if abs(s.mean()) > 1e-9:
                 raise ValueError("all summands must have mean 0")
 
     @property
     def sigma2(self) -> float:
-        return fsum_runs((s.variance(), k)
-                         for s, k in runs(self.summands, _law))
+        return fsum_runs((s.variance(), k) for s, k in runs(self.summands))
 
     @property
     def anchor(self) -> float:
-        return fsum_runs((s.offset, k)
-                         for s, k in runs(self.summands, _law)) % 1.0
+        return fsum_runs((s.offset, k) for s, k in runs(self.summands)) % 1.0
 
     @cached_property
     def _rest_laws(self) -> list[tuple[LatticePMF, int, LatticePMF]]:
@@ -133,23 +117,13 @@ class IndependentSummandSpec:
         run leaves the same list of laws element by element, so one
         convolution serves the whole run and both orders."""
         out, i = [], 0
-        for s, k in runs(self.summands, _law):
+        for s, k in runs(self.summands):
             rest = self.summands[:i] + self.summands[i + 1:]
             if not rest:
                 raise ValueError("need at least two summands")
             out.append((s, k, convolve_all(rest)))
             i += k
         return out
-
-
-def leave_one_out_smoothness(spec: IndependentSummandSpec, i: int, l: int) -> float:
-    """Smoothness of the sum with summand i removed, computed exactly."""
-    if not 0 <= i < len(spec.summands):
-        raise IndexError(f"summand index {i} out of range")
-    for _, k, rest in spec._rest_laws:
-        if i < k:
-            return smoothness_functional(rest, l)
-        i -= k
 
 
 def independent_sum_bound(spec: IndependentSummandSpec, l: int) -> BoundReport:
@@ -400,10 +374,11 @@ def smoothing_conditional(per_z) -> tuple[float, float]:
 # -- JSON round-trips for the CLI ---------------------------------------
 
 
-# Spec class and list-entry class of each JSON "kind" whose fields
-# serialize as they are: each list as run entries, each scalar (a field
-# annotated "float") as a number.
-_TABLE = {"local_dependence": (LocalDependenceSpec, DependenceTerm),
+# Spec class and list-entry class of each JSON "kind".  Its fields serialize
+# as they are: each list as run entries of the entry class's fields, each
+# scalar (a field annotated "float") as a number.
+_TABLE = {"independent": (IndependentSummandSpec, LatticePMF),
+          "local_dependence": (LocalDependenceSpec, DependenceTerm),
           "point_process": (PointProcessSpec, PointTerm),
           "decomposable": (DecomposableSpec, DecompositionTerm)}
 _KINDS = {cls: kind for kind, (cls, _) in _TABLE.items()}
@@ -413,31 +388,23 @@ _KINDS = {cls: kind for kind, (cls, _) in _TABLE.items()}
 MAX_SPEC_ENTRIES = 10 ** 7
 
 
-def _run_entries(items, entry, key=None) -> list[dict]:
-    """One JSON object per run of equal items, with "repeat": k when the
-    run has k > 1 items."""
-    return [entry(x) | ({"repeat": k} if k > 1 else {})
-            for x, k in runs(items, key)]
+def _run_entries(items) -> list[dict]:
+    """One JSON object of an item's fields per run of equal items, with
+    "repeat": k when the run has k > 1 items."""
+    return [{f.name: getattr(x, f.name) for f in fields(x)}
+            | ({"repeat": k} if k > 1 else {}) for x, k in runs(items)]
 
 
 def spec_to_json(spec) -> str:
     """The spec as JSON; each run of equal list entries is written once,
-    with its length as "repeat"."""
-    if isinstance(spec, IndependentSummandSpec):
-        doc = {"kind": "independent",
-               "summands": _run_entries(
-                   spec.summands, lambda s: {"offset": s.offset,
-                                             "min_index": s.min_index,
-                                             "probs": list(s.probs)}, _law)}
-    elif type(spec) in _KINDS:
-        doc = {"kind": _KINDS[type(spec)]}
-        for f in fields(spec):
-            value = getattr(spec, f.name)
-            doc[f.name] = (_run_entries(value, asdict)
-                           if isinstance(value, list) else value)
-    else:
+    with its length as "repeat", and an array as a list."""
+    if type(spec) not in _KINDS:
         raise TypeError(f"not a bound spec: {type(spec)!r}")
-    return json.dumps(doc, indent=2)
+    doc = {"kind": _KINDS[type(spec)]}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        doc[f.name] = _run_entries(value) if isinstance(value, list) else value
+    return json.dumps(doc, indent=2, default=list)
 
 
 def _expand(entries: list, build) -> list:
@@ -464,12 +431,12 @@ def spec_from_json(text: str):
     doc = json.loads(text)
     try:
         kind = doc["kind"]
-        if kind == "independent":
-            return IndependentSummandSpec(_expand(
-                doc["summands"], lambda s: LatticePMF(
-                    s["offset"], s["min_index"], np.asarray(s["probs"]))))
         if kind in _TABLE:
             cls, entry = _TABLE[kind]
+            stray = doc.keys() - {"kind", *(f.name for f in fields(cls))}
+            if stray:
+                raise TypeError(f"{kind} spec has no key "
+                                f"{', '.join(map(repr, sorted(stray)))}")
             return cls(**{
                 f.name: (_number(f.name, doc[f.name]) if f.type == "float"
                          else _expand(doc[f.name], lambda t: entry(**t)))

@@ -19,6 +19,9 @@ LATTICE_TOL = 1e-9
 MASS_TOL = 1e-12
 # Samples may sit this far off the lattice before empirical_pmf rejects them.
 SNAP_TOL = 1e-6
+# Most atoms convolve_all's result may have: it convolves one pmf at a time,
+# quadratic in the pmfs.
+SUPPORT_CAP = 10 ** 4
 
 
 class LatticeMismatchError(ValueError):
@@ -27,6 +30,14 @@ class LatticeMismatchError(ValueError):
 
 class OffLatticeSampleError(ValueError):
     """A sample does not sit on the expected lattice."""
+
+
+def _number(name: str, v):
+    """v, once it is an int or a float (numpy's too), not a bool."""
+    if isinstance(v, bool) or not isinstance(
+            v, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {v!r}")
+    return v
 
 
 def _split_position(x: float) -> tuple[int, float]:
@@ -41,16 +52,30 @@ def _split_position(x: float) -> tuple[int, float]:
     return base, off
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticePMF:
-    """Probability mass function on Z + offset, with trimmed finite support."""
+    """Probability mass function on Z + offset, with trimmed finite support.
+    Two pmfs are equal when their offsets, first indices and probs bytes
+    are; a pmf is not hashable."""
 
     offset: float
     min_index: int
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        if isinstance(self.min_index, bool) or not isinstance(
+                self.min_index, (int, np.integer)):
+            raise ValueError(
+                f"min_index must be an integer, got {self.min_index!r}")
+        object.__setattr__(self, "min_index", int(self.min_index))
+        _number("offset", self.offset)
+        if isinstance(self.probs, list):
+            for v in self.probs:
+                _number("probs entry", v)
+        p = np.asarray(self.probs)
+        if p.dtype.kind not in "fiu":
+            raise ValueError(f"probs must hold numbers, not {p.dtype}")
+        p = p.astype(float, copy=False)
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty 1-D array")
@@ -63,6 +88,12 @@ class LatticePMF:
         if p[0] == 0.0 or p[-1] == 0.0:
             raise ValueError("support must be trimmed (use make_pmf)")
         p.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, LatticePMF):
+            return NotImplemented
+        return (self.offset, self.min_index, self.probs.tobytes()) \
+            == (other.offset, other.min_index, other.probs.tobytes())
 
     # -- basic queries ---------------------------------------------------
 
@@ -165,9 +196,12 @@ def convolve(p: LatticePMF, q: LatticePMF) -> LatticePMF:
 def convolve_all(pmfs: list[LatticePMF]) -> LatticePMF:
     """The left fold of ``convolve``, bit for bit: each step renormalizes,
     trims and places as ``make_pmf`` does, on raw arrays, and the result is
-    validated once."""
+    validated once.  A sum whose support would exceed SUPPORT_CAP atoms is
+    refused before the first convolution."""
     if not pmfs:
         raise ValueError("need at least one pmf")
+    if sum(len(p) - 1 for p in pmfs) + 1 > SUPPORT_CAP:
+        raise ValueError(f"convolution support would exceed cap {SUPPORT_CAP}")
     probs, index, offset = pmfs[0].probs, pmfs[0].min_index, pmfs[0].offset
     for p in pmfs[1:]:
         acc = np.convolve(probs, p.probs)

@@ -24,16 +24,12 @@ from .binomial import CenteringParams, centering_params, centered_binomial
 from .bounds import DependenceTerm, LocalDependenceSpec, DecompositionTerm, \
     DecomposableSpec, fsum_runs, runs, smoothing_constants, step_overlap
 
-# exact_sum_pmf convolves one summand at a time, quadratic in the summands.
-SUPPORT_CAP = 10 ** 4
 TWO_RUNS_CAP = 10 ** 6
 
 
 def exact_sum_pmf(summands: list[LatticePMF]) -> LatticePMF:
-    """Full convolution of independent summands.  A sum whose support would
-    exceed SUPPORT_CAP atoms is refused before the first convolution."""
-    if sum(len(s) - 1 for s in summands) + 1 > SUPPORT_CAP:
-        raise ValueError(f"convolution support would exceed cap {SUPPORT_CAP}")
+    """Full convolution of independent summands, refused past
+    ``lattice.SUPPORT_CAP`` atoms."""
     return convolve_all(summands)
 
 

@@ -15,8 +15,8 @@ from binapprox.bounds import (BoundReport, DecomposableSpec, DecompositionTerm,
                               independent_sum_bound, integer_sum_bound,
                               block_smoothing_constant,
                               bound_from_theta, bound_report, fsum_runs,
-                              leave_one_out_smoothness, local_dependence_bound,
-                              point_process_bound, rho, runs, smoothing_bounds,
+                              local_dependence_bound, point_process_bound,
+                              rho, runs, smoothing_bounds,
                               smoothing_conditional, spec_from_json,
                               spec_to_json, step_overlap)
 from binapprox.lattice import (convolve_all, loc_distance, make_pmf,
@@ -30,6 +30,13 @@ def centered_bernoulli(p):
 
 def bernoulli(p):
     return make_pmf([1 - p, p])
+
+
+def leave_one_out(summands, i, l):
+    """Smoothness of the sum with summand i removed, from a convolution of
+    its own rather than the bound's per-run cache."""
+    return smoothness_functional(
+        convolve_all(summands[:i] + summands[i + 1:]), l)
 
 
 class TestRho:
@@ -51,28 +58,36 @@ class TestRho:
 
 
 class TestLeaveOneOutSmoothness:
+    """The leave-one-out constants of independent_sum_bound, read off its
+    theta sum."""
+
     def test_two_summands(self):
-        spec = IndependentSummandSpec([centered_bernoulli(0.5)] * 2)
-        assert leave_one_out_smoothness(spec, 0, 1) == pytest.approx(1.0)
+        # Each summand's leave-one-out law is the other summand: uniform on
+        # {-2, ..., 2} has order-1 smoothness 0.4, and (1, 2, 1)/4 has 1.
+        a = make_pmf([0.2] * 5, min_index=-2)
+        b = make_pmf([0.25, 0.5, 0.25], min_index=-1)
+        rep = independent_sum_bound(IndependentSummandSpec([a, b]), 1)
+        assert rep.theta_sum == pytest.approx(rho(a) + 0.4 * rho(b))
 
     def test_matches_direct_differencing(self):
-        spec = IndependentSummandSpec([centered_bernoulli(0.5)] * 10)
-        rest = convolve_all([centered_bernoulli(0.5)] * 9)
-        for i in range(10):
-            assert leave_one_out_smoothness(spec, i, 1) \
-                == pytest.approx(smoothness_functional(rest, 1), abs=1e-12)
+        s = centered_bernoulli(0.5)
+        rest = convolve_all([s] * 9)
+        rep = independent_sum_bound(IndependentSummandSpec([s] * 10), 1)
+        assert rep.theta_sum == pytest.approx(
+            10 * smoothness_functional(rest, 1) * rho(s), abs=1e-12)
 
     def test_order2_below_split_product(self):
-        spec = IndependentSummandSpec([centered_bernoulli(0.5)] * 10)
-        d2 = leave_one_out_smoothness(spec, 0, 2)
-        left = smoothness_functional(convolve_all([centered_bernoulli(0.5)] * 5), 1)
-        right = smoothness_functional(convolve_all([centered_bernoulli(0.5)] * 4), 1)
+        s = centered_bernoulli(0.5)
+        rep = independent_sum_bound(IndependentSummandSpec([s] * 10), 2)
+        d2 = rep.theta_sum / (10 * rho(s))
+        left = smoothness_functional(convolve_all([s] * 5), 1)
+        right = smoothness_functional(convolve_all([s] * 4), 1)
         assert d2 <= left * right + 1e-12
 
     def test_rejects_single_summand(self):
-        with pytest.raises(ValueError):
-            leave_one_out_smoothness(
-                IndependentSummandSpec([centered_bernoulli(0.5)]), 0, 1)
+        with pytest.raises(ValueError, match="at least two summands"):
+            independent_sum_bound(
+                IndependentSummandSpec([centered_bernoulli(0.5)]), 1)
 
 
 class TestIndependentSumBound:
@@ -80,7 +95,7 @@ class TestIndependentSumBound:
         summands = [centered_bernoulli(0.5)] * 12
         spec = IndependentSummandSpec(summands)
         assert spec.sigma2 == pytest.approx(3.0)
-        c = [leave_one_out_smoothness(spec, i, 1) for i in range(12)]
+        c = [leave_one_out(summands, i, 1) for i in range(12)]
         expected = (sum(ci * 3 / 16 for ci in c) + 1.75) / 3.0
         assert independent_sum_bound(spec, 1).value == pytest.approx(expected)
 
@@ -102,8 +117,8 @@ class TestIndependentSumBound:
                     else centered_bernoulli(laws[ch.lower()])
                     for ch in pattern]
         spec = IndependentSummandSpec(summands)
-        theta = math.fsum(leave_one_out_smoothness(spec, i, l) * rho(s)
-                          for i, s in enumerate(spec.summands))
+        theta = math.fsum(leave_one_out(summands, i, l) * rho(s)
+                          for i, s in enumerate(summands))
         assert independent_sum_bound(spec, l) \
             == bound_from_theta(theta, spec.sigma2)
 
@@ -115,20 +130,15 @@ class TestIndependentSumBound:
                             or convolve(pmfs))
         laws = {ch: centered_bernoulli(p)
                 for ch, p in zip("abc", (0.3, 0.5, 0.8))}
-        spec = IndependentSummandSpec([laws[ch] for ch in "aaabbbbcc"])
+        summands = [laws[ch] for ch in "aaabbbbcc"]
+        spec = IndependentSummandSpec(summands)
         reports = [bound_report(spec, l) for l in (1, 2)]
         assert calls == [8, 8, 8]
         for l, rep in zip((1, 2), reports):
-            theta = math.fsum(leave_one_out_smoothness(spec, i, l) * rho(s)
-                              for i, s in enumerate(spec.summands))
+            theta = math.fsum(leave_one_out(summands, i, l) * rho(s)
+                              for i, s in enumerate(summands))
             assert rep == bound_from_theta(theta, spec.sigma2)
         assert calls == [8, 8, 8]
-
-    @pytest.mark.parametrize("i", [-1, 4])
-    def test_leave_one_out_index_out_of_range(self, i):
-        spec = IndependentSummandSpec([centered_bernoulli(0.5)] * 4)
-        with pytest.raises(IndexError):
-            leave_one_out_smoothness(spec, i, 1)
 
     @pytest.mark.parametrize("n", [10, 16, 24])
     @pytest.mark.parametrize("l,dist", [(1, "tv"), (2, "loc")])
@@ -327,7 +337,7 @@ class TestSummation:
         a, b = centered_bernoulli(0.3), centered_bernoulli(0.5)
         copy = centered_bernoulli(0.3)
         shifted = a.shift(1)
-        got = runs([a, a, copy, shifted, b, b, a], bounds._law)
+        got = runs([a, a, copy, shifted, b, b, a])
         assert [k for _, k in got] == [3, 1, 2, 1]
         assert all(s is x for (s, _), x in zip(got, [a, shifted, b, a]))
 
@@ -585,8 +595,7 @@ class TestRunLengthSpecs:
         assert [e.get("repeat", 1) for e in json.loads(text)["summands"]] \
             == [3, 1, 1, 1]
         out = spec_from_json(text)
-        assert [bounds._law(s) for s in out.summands] \
-            == [bounds._law(s) for s in spec.summands]
+        assert out == spec
         for l in (1, 2):
             assert bound_report(out, l) == bound_report(spec, l)
 

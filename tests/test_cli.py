@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from binapprox import bounds, cli, oracle
-from binapprox.lattice import make_pmf
+from binapprox.lattice import convolve_all, make_pmf, smoothness_functional
 from binapprox.cli import (EXIT_INAPPLICABLE, EXIT_INTERNAL, EXIT_OK,
                           EXIT_USAGE, main)
 from test_acceptance import (MATERN_REPS, MATERN_SCALES, RATE_SEED,
@@ -39,6 +39,15 @@ def zero_spec(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.fixture
+def no_convolve(monkeypatch):
+    """np.convolve raises, so a command that convolves exits 3."""
+    def convolve(*args):
+        raise AssertionError("np.convolve called")
+
+    monkeypatch.setattr(np, "convolve", convolve)
 
 
 class TestBoundCommand:
@@ -192,6 +201,50 @@ class TestBoundCommand:
         assert "repeat" in capsys.readouterr().err
         assert not out.exists()
 
+    INDEPENDENT = {"kind": "independent", "summands": [
+        {"offset": 0.5, "min_index": -1, "probs": [0.5, 0.5], "repeat": 8}]}
+
+    @pytest.mark.parametrize("name,bad", [
+        ("probs", ["0.5", 0.5]), ("probs", [None, 0.5]),
+        ("probs", [True, 0.5]), ("min_index", 1.5), ("min_index", True)])
+    def test_independent_non_number_refused(self, tmp_path, capsys, name,
+                                            bad):
+        doc = json.loads(json.dumps(self.INDEPENDENT))
+        doc["summands"][0][name] = bad
+        path = tmp_path / "ind.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bound", str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and f"{name} " in err
+
+    @pytest.mark.parametrize("kind,stray", [
+        ("independent", "sigma2"), ("point_process", "anchor"),
+        ("local_dependence", "terms_l1")])
+    def test_stray_key_refused(self, tmp_path, capsys, kind, stray):
+        # Each stray key is a field of another kind.
+        doc = {"independent": self.INDEPENDENT,
+               "point_process": self.POINT_PROCESS,
+               "local_dependence": {"kind": "local_dependence",
+                                    "sigma2": 4.0, "anchor": 0.0,
+                                    "terms": []}}[kind]
+        path = tmp_path / "stray.json"
+        path.write_text(json.dumps(doc | {stray: 0.3}))
+        assert main(["bound", str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and f"no key {stray!r}" in err
+
+    def test_independent_past_support_cap(self, tmp_path, no_convolve,
+                                          capsys):
+        # 20000 Bernoullis: each leave-one-out law would have 20000 atoms,
+        # so the bound is refused before its first convolution, as exact
+        # poisson-binomial is.
+        doc = json.loads(json.dumps(self.INDEPENDENT))
+        doc["summands"][0]["repeat"] = 20000
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bound", str(path)]) == EXIT_USAGE
+        assert "exceed cap 10000" in capsys.readouterr().err
+
     def test_independent_theta_sum_exact(self, tmp_path):
         # The printed theta sum is the sum itself, not a value back-solved
         # from the bound (which differs in the last bits for this spec).
@@ -207,8 +260,9 @@ class TestBoundCommand:
         assert main(["bound", str(path), "--out", str(out)]) == EXIT_OK
         _, _, rows = read_rows(out)
         for l, row in zip((1, 2), rows):
-            theta = math.fsum(bounds.leave_one_out_smoothness(spec, i, l)
-                              * bounds.rho(s) for i, s in enumerate(summands))
+            theta = math.fsum(smoothness_functional(convolve_all(
+                summands[:i] + summands[i + 1:]), l) * bounds.rho(s)
+                for i, s in enumerate(summands))
             assert row["theta_sum"] == repr(theta)
 
 
@@ -238,9 +292,8 @@ class TestExactCommand:
         _, _, rows = read_rows(out)
         assert rows[0]["verdict"] == "PASS"
 
-    def test_poisson_binomial_past_support_cap(self, monkeypatch, capsys):
+    def test_poisson_binomial_past_support_cap(self, no_convolve, capsys):
         # Refused before the first convolution, not after 10**4 of them.
-        monkeypatch.setattr(oracle, "convolve_all", None)
         assert main(["exact", "poisson-binomial", "--n", "10000",
                      "--p", "0.3"]) == EXIT_USAGE
         assert "exceed cap 10000" in capsys.readouterr().err

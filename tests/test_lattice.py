@@ -205,7 +205,48 @@ class TestEmpiricalPMF:
         assert tv_distance(emp, exact) < 0.005
 
 
+class TestEquality:
+    def test_equal_by_value(self):
+        p = make_pmf([0.5, 0.5], min_index=-1, offset=0.5)
+        assert p == make_pmf([0.5, 0.5], min_index=-1, offset=0.5)
+        for other in (make_pmf([0.5, 0.5], min_index=-1, offset=0.25),
+                      p.shift(1),
+                      make_pmf([0.4, 0.6], min_index=-1, offset=0.5),
+                      make_pmf([0.25, 0.5, 0.25], min_index=-1, offset=0.5)):
+            assert p != other and other != p
+        assert p != (p.offset, p.min_index, p.probs.tobytes())
+
+    def test_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(make_pmf([0.5, 0.5]))
+
+
 class TestValidation:
+    @pytest.mark.parametrize("bad", [1.5, True, "0", None])
+    def test_min_index_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="min_index must be an integer"):
+            LatticePMF(0.0, bad, [0.5, 0.5])
+
+    def test_numpy_min_index_stored_as_int(self):
+        # So that spec_to_json can write it.
+        p = LatticePMF(0.0, np.int64(-1), [0.5, 0.5])
+        assert type(p.min_index) is int
+        assert p == make_pmf([0.5, 0.5], min_index=-1)
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None])
+    def test_offset_must_be_a_number(self, bad):
+        with pytest.raises(ValueError, match="offset must be a number"):
+            LatticePMF(bad, 0, [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", ["0.5", None, True])
+    def test_probs_entries_must_be_numbers(self, bad):
+        with pytest.raises(ValueError, match="probs entry must be a number"):
+            LatticePMF(0.0, 0, [bad, 0.5])
+
+    def test_probs_array_must_hold_numbers(self):
+        with pytest.raises(ValueError, match="probs must hold numbers"):
+            LatticePMF(0.0, 0, np.array(["0.5", "0.5"]))
+
     def test_negative_prob_rejected(self):
         with pytest.raises(ValueError):
             make_pmf([0.5, -0.1, 0.6])

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from binapprox import oracle
 from binapprox.bounds import (DecompositionTerm, decomposition_bound,
                               local_dependence_bound)
-from binapprox.lattice import (loc_distance, make_pmf,
+from binapprox.lattice import (SUPPORT_CAP, loc_distance, make_pmf,
                                smoothness_functional, tv_distance)
 from binapprox.oracle import (TwoRunsModel, _window_moments,
                               exact_distance_report,
@@ -29,15 +28,17 @@ class TestExactSumPMF:
             exact_sum_pmf([wide, wide])
 
     def test_cap_checked_before_convolving(self, monkeypatch):
-        # 10**4 - 1 Bernoullis fill the cap exactly; one more exceeds it.
-        calls = []
-        monkeypatch.setattr(oracle, "convolve_all", calls.append)
+        # 10**4 - 1 Bernoullis fill the cap exactly, so convolving starts;
+        # one more exceeds it and is refused before any convolution.
+        def convolve(*args):
+            raise AssertionError("np.convolve called")
+
+        monkeypatch.setattr(np, "convolve", convolve)
         b = make_pmf([0.5, 0.5])
-        exact_sum_pmf([b] * (oracle.SUPPORT_CAP - 1))
-        assert len(calls) == 1
+        with pytest.raises(AssertionError, match="np.convolve called"):
+            exact_sum_pmf([b] * (SUPPORT_CAP - 1))
         with pytest.raises(ValueError, match="exceed cap 10000"):
-            exact_sum_pmf([b] * oracle.SUPPORT_CAP)
-        assert len(calls) == 1
+            exact_sum_pmf([b] * SUPPORT_CAP)
 
 
 class TestTwoRunsPMF:
