@@ -55,6 +55,7 @@ def _split_position(x: float) -> tuple[int, float]:
 @dataclass(frozen=True, eq=False)
 class LatticePMF:
     """Probability mass function on Z + offset, with trimmed finite support.
+    probs is stored as a read-only copy.
     Two pmfs are equal when their offsets, first indices and probs bytes
     are; a pmf is not hashable."""
 
@@ -75,7 +76,7 @@ class LatticePMF:
         p = np.asarray(self.probs)
         if p.dtype.kind not in "fiu":
             raise ValueError(f"probs must hold numbers, not {p.dtype}")
-        p = p.astype(float, copy=False)
+        p = p.astype(float)
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty 1-D array")
@@ -129,14 +130,15 @@ class LatticePMF:
 def make_pmf(probs, min_index: int = 0, offset: float = 0.0,
              renormalize: bool = False) -> LatticePMF:
     """Build a LatticePMF, trimming zero tails and splitting a real offset."""
-    p = np.asarray(probs, dtype=float).copy()
+    # LatticePMF copies the trimmed slice, so p may be the caller's array.
+    p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probs must be a nonempty 1-D array")
     if renormalize:
         s = p.sum()
         if not s > 0:
             raise ValueError(f"total mass must be positive, got {s}")
-        p /= s
+        p = p / s
     nz = np.flatnonzero(p)
     if nz.size == 0:
         raise ValueError("pmf has no mass")

@@ -26,6 +26,13 @@ _GL_X, _GL_W = leggauss(GL_NODES)
 # An upper Poisson tail sum stops at the first term below this share of
 # its first term.
 TAIL_RTOL = 1e-17
+# Longest Exp(1) window whose verdict the simulator takes from a product of
+# r float32 factors.  Partial products are a random walk in the log domain,
+# and one that leaves float32's normal range (|log| > 87) before its window
+# ends gives a verdict from that prefix alone; for a window whose log product
+# ends near 0 that has probability about e^{-2 * 87^2 / r}, 2e-26 at r = 256.
+# Longer windows sum the logs of the factors instead.
+PRODUCT_MAX_R = 256
 
 
 @dataclass(frozen=True)
@@ -161,26 +168,50 @@ def variance_formula(cfg: RScanConfig) -> float:
 
 
 def _simulate_chunk(cfg: RScanConfig, reps: int, seed_seq) -> np.ndarray:
+    """Exceedance counts of reps sequences, drawn from float32 uniforms.
+
+    The Exp(1) base is X = -log(1 - U) by inversion; 1 - U is a multiple of
+    2**-24, so X <= 24 ln 2 < 17.  For r <= PRODUCT_MAX_R a window sum is
+    <= a just when the product of the factors (1 - U) c, c = e^{a/r}, is >= 1
+    (up to rounding of order r 2**-24): no logarithm is taken.  From a/r = 17
+    on every factor exceeds 1; clamping there keeps c finite.  Longer windows
+    compare the float32 sum of log(1 - U) with -a.
+    """
     rng = np.random.default_rng(seed_seq)
     n, r = cfg.n, cfg.r
-    draw = (rng.standard_exponential if cfg.base_dist == "exponential"
-            else rng.random)
+    if cfg.base_dist == "uniform01":
+        to_terms = None
+        combine, keep, level = np.add, np.less_equal, np.float32(cfg.a)
+    elif r <= PRODUCT_MAX_R:
+        c = np.float32(math.exp(min(cfg.a / r, 17.0)))
+        to_terms = lambda f: np.multiply(f, c, out=f)  # noqa: E731
+        combine, keep, level = np.multiply, np.greater_equal, np.float32(1.0)
+    else:
+        to_terms = lambda f: np.log(f, out=f)  # noqa: E731
+        combine, keep, level = np.add, np.greater_equal, np.float32(-cfg.a)
     step = min(reps, block_reps(n + r - 1))
     x = np.empty((step, n + r - 1), dtype=np.float32)
     w = np.empty((step, n), dtype=np.float32) if r > 1 else None
     hit = np.empty((step, n), dtype=bool)
     counts = np.empty(reps, dtype=np.int64)
-    for lo in range(0, reps, step):
-        m = min(step, reps - lo)
-        xb = draw(dtype=np.float32, out=x[:m])
-        wb = xb  # r = 1: a window is one draw
-        if r > 1:
-            # Direct sliding sum (no cumsum: avoids float32 cancellation).
-            wb = np.add(xb[:, :n], xb[:, 1:n + 1], out=w[:m])
-            for k in range(2, r):
-                wb += xb[:, k:k + n]
-        np.less_equal(wb, np.float32(cfg.a), out=hit[:m])
-        counts[lo:lo + m] = np.count_nonzero(hit[:m], axis=1)
+    # A window product that overflows to inf or underflows to 0 has left the
+    # normal range for good, which PRODUCT_MAX_R makes negligibly rare for a
+    # window near the threshold; elsewhere it gives the right verdict.
+    with np.errstate(over="ignore", under="ignore"):
+        for lo in range(0, reps, step):
+            m = min(step, reps - lo)
+            xb = rng.random(dtype=np.float32, out=x[:m])
+            if to_terms is not None:
+                to_terms(np.subtract(np.float32(1.0), xb, out=xb))
+            wb = xb  # r = 1: a window is one draw
+            if r > 1:
+                # Direct sliding window (a sum without cumsum avoids float32
+                # cancellation).
+                wb = combine(xb[:, :n], xb[:, 1:n + 1], out=w[:m])
+                for k in range(2, r):
+                    combine(wb, xb[:, k:k + n], out=wb)
+            keep(wb, level, out=hit[:m])
+            counts[lo:lo + m] = np.count_nonzero(hit[:m], axis=1)
     return counts
 
 

@@ -31,6 +31,9 @@ SMALL_BLOCK = 9600
 CASES = {
     "rscan": ["rscan", "--n", "100", "--r", "2", "--a", "1.0",
               "--reps", "2000", "--seed", "3"],
+    # Eight factors per window product.
+    "rscan_exp_r8": ["rscan", "--n", "60", "--r", "8", "--a", "4.0",
+                     "--reps", "3000", "--seed", "4"],
     "rscan_uniform": ["rscan", "--n", "60", "--r", "3", "--a", "1.5",
                       "--dist", "uniform01", "--reps", "3000", "--seed", "4"],
     "matern_1d": ["matern", "--d", "1", "--lam", "200", "--a", "1.0",

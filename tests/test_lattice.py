@@ -233,6 +233,14 @@ class TestValidation:
         assert type(p.min_index) is int
         assert p == make_pmf([0.5, 0.5], min_index=-1)
 
+    def test_stores_a_read_only_copy(self):
+        a = np.array([0.5, 0.5])
+        p = LatticePMF(0.0, 0, a)
+        a[0] = 0.25
+        assert p.probs.tolist() == [0.5, 0.5]
+        with pytest.raises(ValueError, match="read-only"):
+            p.probs[0] = 0.25
+
     @pytest.mark.parametrize("bad", ["0.5", True, None])
     def test_offset_must_be_a_number(self, bad):
         with pytest.raises(ValueError, match="offset must be a number"):

@@ -6,10 +6,10 @@ import pytest
 
 from binapprox import cli, engine
 from binapprox.engine import fit_rate
-from binapprox.rscan import (RScanConfig, _gamma_cdf, _simulate_chunk,
-                             empirical_distance, error_bound,
-                             exceedance_prob, psi, simulate_counts,
-                             variance_formula)
+from binapprox.rscan import (PRODUCT_MAX_R, RScanConfig, _gamma_cdf,
+                             _simulate_chunk, empirical_distance,
+                             error_bound, exceedance_prob, psi,
+                             simulate_counts, variance_formula)
 
 
 def cfg_exp(n, r=2, a=1.0):
@@ -192,7 +192,11 @@ class TestSimulateCounts:
         assert not np.array_equal(a, b)
 
     def test_certain_exceedance(self):
-        counts = simulate_counts(cfg_exp(50, a=1e9), 100, seed=1)
+        # e^{a/r} overflows a double here; the kernel must neither raise
+        # nor warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = simulate_counts(cfg_exp(50, a=1e9), 100, seed=1)
         assert (counts == 50).all()
 
     def test_impossible_exceedance(self):
@@ -206,23 +210,39 @@ class TestSimulateCounts:
         se = counts.std(ddof=1) / math.sqrt(len(counts))
         assert abs(counts.mean() - expected) < 4 * se
 
+    @pytest.mark.parametrize("r", [PRODUCT_MAX_R, 760])
+    def test_mean_identity_long_window(self, r):
+        # The longest window product, and a sum of logs.  An unscaled
+        # product of 256 or 760 factors and e^{-a} would both underflow to
+        # 0, and every window would count.
+        cfg = cfg_exp(3 * r - 2, r=r, a=float(r))
+        counts = simulate_counts(cfg, 400, seed=13)
+        expected = cfg.n * exceedance_prob(cfg)
+        se = counts.std(ddof=1) / math.sqrt(len(counts))
+        assert abs(counts.mean() - expected) < 4 * se
+
     def test_range(self):
         counts = simulate_counts(cfg_exp(100), 5000, seed=2)
         assert counts.min() >= 0 and counts.max() <= 100
 
 
 def one_shot_counts(cfg, reps, seed_seq):
-    """The chunk's counts from its whole (reps, n+r-1) draw matrix at once."""
-    rng = np.random.default_rng(seed_seq)
-    shape = (reps, cfg.n + cfg.r - 1)
+    """The chunk's counts from its whole (reps, n+r-1) draw matrix at once.
+
+    The Exp(1) base is -log1p(-U) of the same float32 uniforms, with the
+    window sums taken in float64.
+    """
+    x = np.random.default_rng(seed_seq).random(
+        (reps, cfg.n + cfg.r - 1), dtype=np.float32)
+    a = cfg.a
     if cfg.base_dist == "exponential":
-        x = rng.standard_exponential(shape, dtype=np.float32)
+        x = -np.log1p(-x.astype(np.float64))
     else:
-        x = rng.random(shape, dtype=np.float32)
+        a = np.float32(a)
     w = x[:, :cfg.n].copy()
     for k in range(1, cfg.r):
         w += x[:, k:k + cfg.n]
-    return (w <= np.float32(cfg.a)).sum(axis=1)
+    return (w <= a).sum(axis=1)
 
 
 class TestSimulateChunk:
@@ -241,6 +261,18 @@ class TestSimulateChunk:
         assert counts.dtype == np.int64
         assert np.array_equal(counts, expected)
         assert len(set(expected)) > 1
+
+    def test_very_long_window_equals_one_shot_draw(self):
+        # Partial window products of 8000 factors would leave float32's
+        # range for a few percent of the windows near a = r, fixing their
+        # verdict early.  The log sums differ from the float64 reference
+        # only by rounding, on windows within ~0.1 of a.
+        r = 8000
+        cfg = cfg_exp(3 * r - 2, r=r, a=float(r))
+        child = np.random.SeedSequence(19).spawn(2)[1]
+        counts = _simulate_chunk(cfg, 3, child)
+        expected = one_shot_counts(cfg, 3, child)
+        assert np.abs(counts - expected).max() <= 1e-3 * cfg.n
 
 
 class TestErrorBound:
