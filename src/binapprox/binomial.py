@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticePMF, make_pmf, tv_distance, loc_distance
+from .lattice import LatticePMF, make_pmf
 
 # Snap fractional parts within this distance of an integer, so that a
 # variance with 4*sigma2 numerically indistinguishable from an integer does
@@ -236,9 +236,3 @@ def shift_bound(params: BinomialParams, t: float, metric: str) -> float:
                          + math.sqrt((p - t) * (q + t)) / (p * q * math.sqrt(n)))
     raise ValueError(f"metric must be 'tv' or 'loc', got {metric!r}")
 
-
-def shift_distance_exact(params: BinomialParams, t: float, metric: str) -> float:
-    """Exact distance between Bi(n, p - t) and Bi(n, p), for cross-checks."""
-    a = binomial_pmf(BinomialParams(params.n, params.p - t))
-    b = binomial_pmf(params)
-    return tv_distance(a, b) if metric == "tv" else loc_distance(a, b)

@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
-from .lattice import (LatticePMF, _number, convolve_all,
+from .lattice import (LatticePMF, _check_order, _number, convolve_all,
                       smoothness_functional, tv_distance)
-from .binomial import CenteringParams, centering_params, centered_binomial, \
-    check_variance, BinomialParams, binomial_pmf
+from .binomial import check_variance, BinomialParams, binomial_pmf
 
 # Additive constant absorbed by every bound: the lattice-rounding and
 # perturbation terms plus the tail estimate, each at most 1/4, 1/4, 1/4, 1.
@@ -62,11 +61,6 @@ def _product(a: float, b: float) -> float:
     bound makes the true product 0 even where the other bound is +inf (a
     useless bound on a finite quantity), and inf * 0 would be NaN."""
     return a * b if a and b else 0.0
-
-
-def _check_order(l: int) -> None:
-    if l not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {l}")
 
 
 def _check_fields(term) -> None:
@@ -137,11 +131,6 @@ def independent_sum_bound(spec: IndependentSummandSpec, l: int) -> BoundReport:
     return bound_from_theta(
         fsum_runs((smoothness_functional(rest, l) * rho(s), k)
                   for s, k, rest in spec._rest_laws), spec.sigma2)
-
-
-def independent_sum_approximant(spec: IndependentSummandSpec) -> tuple[CenteringParams, LatticePMF]:
-    cp = centering_params(spec.sigma2, spec.anchor)
-    return cp, centered_binomial(cp)
 
 
 def step_overlap(p: LatticePMF) -> float:
@@ -355,20 +344,6 @@ def block_smoothing_constant(l: int, m: int, k: int, p0: float,
     if l == 1:
         return 2.0 / math.sqrt(pmin * (m - 2))
     return 8.0 / (pmin * (m - k))
-
-
-def smoothing_conditional(per_z) -> tuple[float, float]:
-    """Mixture version: weighted average of per-condition smoothing bounds.
-
-    per_z is an iterable of (weight, V_z, vstar_z) with weights summing to 1.
-    """
-    rows = list(per_z)
-    wsum = math.fsum(w for w, _, _ in rows)
-    if any(w < 0 for w, _, _ in rows) or abs(wsum - 1.0) > 1e-9:
-        raise ValueError("weights must be nonnegative and sum to 1")
-    bs = [(w, smoothing_constants(V, vstar)) for w, V, vstar in rows]
-    return (math.fsum(w * b1 for w, (b1, _) in bs),
-            math.fsum(w * b2 for w, (_, b2) in bs))
 
 
 # -- JSON round-trips for the CLI ---------------------------------------

@@ -153,8 +153,11 @@ def cmd_rates(args) -> int:
     if len(scales) < 3:
         raise argparse.ArgumentTypeError("need at least 3 scales")
     _app_flags(args)
-    # Every scale's config is checked before the first experiment runs.
+    # Every scale's config, and that no scale repeats (fit_rate's rule), is
+    # checked before the first experiment runs.
     cfgs = [_config(args.app, args, scale) for scale in scales]
+    if len(set(scales)) != len(scales):
+        raise ValueError("scales must be positive and strictly increasing")
     # The scales run together, one thread each, so their chunks share the
     # engine's chunk pool; results and progress lines come in scale order,
     # and the first failing scale's error is raised with no line for it.

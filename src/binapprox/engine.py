@@ -24,7 +24,8 @@ import numpy as np
 import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
-from .lattice import LatticePMF, empirical_pmf, loc_distance, tv_distance
+from .lattice import LatticePMF, empirical_pmf, loc_distance, make_pmf, \
+    tv_distance
 from .binomial import centering_params, centered_binomial, check_variance
 
 BOOTSTRAP_RESAMPLES = 200
@@ -168,9 +169,7 @@ def _bootstrap(emp: LatticePMF, ref: LatticePMF, reps: int, seed: int):
     locs = np.empty(BOOTSTRAP_RESAMPLES)
     counts = rng.multinomial(reps, emp.probs, size=BOOTSTRAP_RESAMPLES)
     for b in range(BOOTSTRAP_RESAMPLES):
-        nz = np.flatnonzero(counts[b])
-        resampled = LatticePMF(emp.offset, emp.min_index + int(nz[0]),
-                               counts[b][nz[0]:nz[-1] + 1] / reps)
+        resampled = make_pmf(counts[b] / reps, emp.min_index, emp.offset)
         tvs[b] = tv_distance(resampled, ref)
         locs[b] = loc_distance(resampled, ref)
     lo, hi = 2.5, 97.5

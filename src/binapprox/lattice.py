@@ -40,6 +40,11 @@ def _number(name: str, v):
     return v
 
 
+def _check_order(l: int) -> None:
+    if l not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {l}")
+
+
 def _split_position(x: float) -> tuple[int, float]:
     """Split a real anchor into (integer base, fractional offset in [0,1))."""
     base = math.floor(x)
@@ -112,8 +117,8 @@ class LatticePMF:
         x = self.positions - self.mean()
         return float(np.dot(x * x, self.probs))
 
-    def abs_moment(self, order: int, center: float = 0.0) -> float:
-        x = np.abs(self.positions - center) ** order
+    def abs_moment(self, order: int) -> float:
+        x = np.abs(self.positions) ** order
         return float(np.dot(x, self.probs))
 
     # -- lattice manipulation -------------------------------------------
@@ -145,10 +150,6 @@ def make_pmf(probs, min_index: int = 0, offset: float = 0.0,
     lo, hi = nz[0], nz[-1]
     base, off = _split_position(offset)
     return LatticePMF(off, min_index + base + int(lo), p[lo:hi + 1])
-
-
-def point_mass(x: float) -> LatticePMF:
-    return make_pmf([1.0], offset=x)
 
 
 def lattices_match(p: LatticePMF, q: LatticePMF) -> bool:
@@ -221,8 +222,7 @@ def smoothness_functional(p: LatticePMF, l: int) -> float:
     Order 1 lies in (0, 2] and is small when the pmf is flat across the
     lattice; order 2 lies in (0, 4].
     """
-    if l not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {l}")
+    _check_order(l)
     kernel = np.array([1.0, -1.0]) if l == 1 else np.array([1.0, -2.0, 1.0])
     return float(np.abs(np.convolve(p.probs, kernel)).sum())
 

@@ -102,17 +102,6 @@ def two_runs_pmf(model: TwoRunsModel) -> LatticePMF:
     return make_pmf(np.maximum(probs, 0.0), c, renormalize=True)
 
 
-def two_runs_pmf_bruteforce(model: TwoRunsModel) -> LatticePMF:
-    """Enumeration over all X-sequences; only viable for small n."""
-    n, p = model.n, model.p
-    probs = np.zeros(n + 1)
-    for xs in itertools.product((0, 1), repeat=n + 1):
-        w = sum(xs[i] * xs[i + 1] for i in range(n))
-        pr = math.prod(p if x else 1.0 - p for x in xs)
-        probs[w] += pr
-    return make_pmf(probs, renormalize=True)
-
-
 def _window_moments(model: TwoRunsModel, i: int) -> tuple[float, float, float, float]:
     """Exact neighborhood moments of summand i by enumeration.
 

@@ -9,8 +9,9 @@ from binapprox.binomial import (BinomialParams, Inapplicable,
                                 binomial_logpmf, binomial_pmf,
                                 centered_binomial, centering_params,
                                 check_variance, ehm_bound, shift_bound,
-                                shift_distance_exact, stein_residual,
-                                stein_solution, sup_norm_bound)
+                                stein_residual, stein_solution,
+                                sup_norm_bound)
+from binapprox.lattice import loc_distance, tv_distance
 
 
 class TestBinomialPMF:
@@ -287,6 +288,7 @@ class TestShiftBound:
     def test_dominates_exact_distance(self, n, p, frac):
         t = frac * p
         params = BinomialParams(n, p)
-        for metric in ("tv", "loc"):
-            exact = shift_distance_exact(params, t, metric)
-            assert exact <= shift_bound(params, t, metric) + 1e-12
+        a = binomial_pmf(BinomialParams(n, p - t))
+        b = binomial_pmf(params)
+        for metric, dist in (("tv", tv_distance), ("loc", loc_distance)):
+            assert dist(a, b) <= shift_bound(params, t, metric) + 1e-12

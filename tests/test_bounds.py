@@ -7,20 +7,19 @@ import numpy as np
 import pytest
 
 from binapprox import bounds, oracle
-from binapprox.binomial import Inapplicable
+from binapprox.binomial import (Inapplicable, centered_binomial,
+                                centering_params)
 from binapprox.bounds import (BoundReport, DecomposableSpec, DecompositionTerm,
                               DependenceTerm, IndependentSummandSpec,
                               LocalDependenceSpec, PointProcessSpec, PointTerm,
-                              decomposition_bound, independent_sum_approximant,
-                              independent_sum_bound, integer_sum_bound,
-                              block_smoothing_constant,
+                              decomposition_bound, independent_sum_bound,
+                              integer_sum_bound, block_smoothing_constant,
                               bound_from_theta, bound_report, fsum_runs,
                               local_dependence_bound, point_process_bound,
-                              rho, runs, smoothing_bounds,
-                              smoothing_conditional, spec_from_json,
+                              rho, runs, smoothing_bounds, spec_from_json,
                               spec_to_json, step_overlap)
 from binapprox.lattice import (convolve_all, loc_distance, make_pmf,
-                               point_mass, smoothness_functional, tv_distance)
+                               smoothness_functional, tv_distance)
 
 
 def centered_bernoulli(p):
@@ -45,7 +44,7 @@ class TestRho:
         assert rho(centered_bernoulli(0.5)) == pytest.approx(3 / 16)
 
     def test_degenerate(self):
-        assert rho(point_mass(0.0)) == 0.0
+        assert rho(make_pmf([1.0])) == 0.0
 
     def test_skewed_bernoulli(self):
         p = centered_bernoulli(0.3)
@@ -145,7 +144,7 @@ class TestIndependentSumBound:
     def test_dominates_exact_distance(self, n, l, dist):
         summands = [centered_bernoulli(0.5)] * n
         spec = IndependentSummandSpec(summands)
-        _, approx = independent_sum_approximant(spec)
+        approx = centered_binomial(centering_params(spec.sigma2, spec.anchor))
         exact = convolve_all(summands)
         d = tv_distance(exact, approx) if dist == "tv" \
             else loc_distance(exact, approx)
@@ -159,7 +158,8 @@ class TestIndependentSumBound:
             spec = IndependentSummandSpec(summands)
             if spec.sigma2 <= 1.0:
                 continue
-            _, approx = independent_sum_approximant(spec)
+            approx = centered_binomial(
+                centering_params(spec.sigma2, spec.anchor))
             exact = convolve_all(summands)
             assert tv_distance(exact, approx) \
                 <= independent_sum_bound(spec, 1).value + 1e-12
@@ -492,21 +492,6 @@ class TestBlockSmoothingConstant:
     def test_rejects_degenerate_events(self):
         with pytest.raises(ValueError, match="degenerate"):
             block_smoothing_constant(1, 10, 4, 0.3, 0.0)
-
-
-class TestSmoothingConditional:
-    def test_single_condition_reduces(self):
-        d1, d2 = smoothing_conditional([(1.0, 8.0, 0.5)])
-        ref = smoothing_bounds([0.5] * 16)
-        assert (d1, d2) == pytest.approx(ref)
-
-    def test_two_condition_average(self):
-        d1, _ = smoothing_conditional([(0.5, 4.0, 0.5), (0.5, 16.0, 0.5)])
-        assert d1 == pytest.approx(0.75)
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            smoothing_conditional([(0.7, 4.0, 0.5)])
 
 
 class TestSpecSerialization:

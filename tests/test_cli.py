@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import os
@@ -372,6 +373,17 @@ class TestExperimentCommands:
         assert out == ""
         assert err == "error: need lam > 0 and finite, got inf\n"
 
+    def test_rates_refuses_repeated_scale_first(self, capsys):
+        # fit_rate's rule, applied before any scale runs: a repeated scale
+        # would otherwise run every experiment and then fail, or print two
+        # identical rows when the noise floor drops every point.
+        assert main(["rates", "--app", "rscan", "--scales", "400", "400",
+                     "1600", "--reps", "200"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: scales must be positive and strictly "
+                       "increasing\n")
+
     def test_small_variance_inapplicable(self):
         assert main(["rscan", "--n", "10", "--r", "2", "--a", "0.05",
                      "--reps", "100"]) == EXIT_INAPPLICABLE
@@ -433,6 +445,37 @@ def test_readme_cli_section_names_every_long_option():
     options = {o for p in subcommands.choices.values() for a in p._actions
                for o in a.option_strings if o.startswith("--")}
     assert documented == options - {"--help"}
+
+
+def test_every_public_name_in_src_is_used_or_documented():
+    # No helper exists only to be tested: each public top-level def or class
+    # of a module is referenced from src/ (the package __init__'s re-exports
+    # would not count), from perfbench/ or from scripts/, or README's
+    # ## Layout names it as library API.
+    root = SCRIPTS.parent
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in (root / "src" / "binapprox").glob("*.py")
+             if p.stem != "__init__"}
+    used = set()
+    for node in (n for t in trees.values() for n in ast.walk(t)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+    for d in ("perfbench", "scripts"):
+        for p in (root / d).glob("*.py"):
+            used.update(re.findall(r"\w+", p.read_text(encoding="utf-8")))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`(?:\w+\.)*(\w+)", layout))
+    unused = {f"{mod}.{node.name}" for mod, t in trees.items()
+              for node in t.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in used | documented}
+    assert not unused
 
 
 class TestUsageErrors:

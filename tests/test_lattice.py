@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from binapprox.lattice import (LatticeMismatchError, LatticePMF,
                                OffLatticeSampleError, convolve, convolve_all,
                                empirical_pmf, loc_distance, make_pmf,
-                               point_mass, smoothness_functional, tv_distance)
+                               smoothness_functional, tv_distance)
 from binapprox.binomial import BinomialParams, binomial_pmf
 
 
@@ -46,7 +46,7 @@ class TestTvDistance:
 
     def test_offsets_straddling_one(self):
         p = make_pmf([1.0], offset=1e-10)
-        q = point_mass(1.0 - 1e-10)
+        q = make_pmf([1.0], offset=1.0 - 1e-10)
         # Both snap to the integer lattice; the atoms land on 0 and 1.
         assert tv_distance(p, q) == pytest.approx(1.0)
 
@@ -93,7 +93,8 @@ class TestLocDistance:
 
 class TestConvolve:
     def test_point_masses(self):
-        assert convolve(point_mass(0.25), point_mass(0.5)).positions[0] \
+        assert convolve(make_pmf([1.0], offset=0.25),
+                        make_pmf([1.0], offset=0.5)).positions[0] \
             == pytest.approx(0.75)
 
     def test_bernoulli_square(self):
@@ -141,10 +142,10 @@ class TestConvolve:
 
 class TestSmoothnessFunctional:
     def test_point_mass_order1(self):
-        assert smoothness_functional(point_mass(0.0), 1) == pytest.approx(2.0)
+        assert smoothness_functional(make_pmf([1.0]), 1) == pytest.approx(2.0)
 
     def test_point_mass_order2(self):
-        assert smoothness_functional(point_mass(0.0), 2) == pytest.approx(4.0)
+        assert smoothness_functional(make_pmf([1.0]), 2) == pytest.approx(4.0)
 
     def test_symmetric_three_atoms(self):
         p = make_pmf([0.25, 0.5, 0.25])
@@ -152,7 +153,7 @@ class TestSmoothnessFunctional:
 
     def test_rejects_other_orders(self):
         with pytest.raises(ValueError):
-            smoothness_functional(point_mass(0.0), 3)
+            smoothness_functional(make_pmf([1.0]), 3)
 
     def test_identity_first_order_is_twice_shift_tv(self):
         rng = np.random.default_rng(11)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,8 +12,18 @@ from binapprox.oracle import (TwoRunsModel, _window_moments,
                               exact_distance_report,
                               exact_sum_pmf, two_runs_decomposable_spec,
                               two_runs_dependence_spec,
-                              two_runs_pmf, two_runs_pmf_bruteforce,
-                              two_runs_smoothness)
+                              two_runs_pmf, two_runs_smoothness)
+
+
+def two_runs_pmf_bruteforce(model: TwoRunsModel):
+    """Enumeration over all X-sequences; only viable for small n."""
+    n, p = model.n, model.p
+    probs = np.zeros(n + 1)
+    for xs in itertools.product((0, 1), repeat=n + 1):
+        w = sum(xs[i] * xs[i + 1] for i in range(n))
+        pr = math.prod(p if x else 1.0 - p for x in xs)
+        probs[w] += pr
+    return make_pmf(probs, renormalize=True)
 
 
 class TestExactSumPMF:
