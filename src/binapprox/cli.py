@@ -23,7 +23,7 @@ from . import matern as _matern
 from . import oracle as _oracle
 from . import rscan as _rscan
 from .binomial import Inapplicable
-from .engine import filter_floor, fit_rate
+from .engine import check_scales, filter_floor, fit_rate
 from .lattice import make_pmf
 
 EXIT_OK = 0
@@ -150,14 +150,11 @@ def _app_flags(args) -> None:
 
 def cmd_rates(args) -> int:
     scales = args.scales
-    if len(scales) < 3:
-        raise argparse.ArgumentTypeError("need at least 3 scales")
     _app_flags(args)
-    # Every scale's config, and that no scale repeats (fit_rate's rule), is
-    # checked before the first experiment runs.
+    # Every scale's config, and fit_rate's rule on the scales, is checked
+    # before the first experiment runs.
     cfgs = [_config(args.app, args, scale) for scale in scales]
-    if len(set(scales)) != len(scales):
-        raise ValueError("scales must be positive and strictly increasing")
+    check_scales(scales)
     # The scales run together, one thread each, so their chunks share the
     # engine's chunk pool; results and progress lines come in scale order,
     # and the first failing scale's error is raised with no line for it.
@@ -190,6 +187,17 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """The type of every --seed: numpy seeds need an integer >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="binapprox",
@@ -215,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", choices=list(_rscan.BASE_DISTS),
                    default="exponential")
     p.add_argument("--reps", type=int, default=10 ** 5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_experiment)
 
@@ -226,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--r", type=float, default=None)
     group.add_argument("--a", type=float, default=None)
     p.add_argument("--reps", type=int, default=10 ** 5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_experiment)
 
@@ -234,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--app", choices=["rscan", "matern"], required=True)
     p.add_argument("--scales", type=float, nargs="+", required=True)
     p.add_argument("--reps", type=int, default=10 ** 5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--metric", choices=["tv", "loc"], default="tv")
     p.add_argument("--r", type=int, help="rscan only (default 2)")
     p.add_argument("--a", type=float, default=1.0)
@@ -258,7 +266,7 @@ def main(argv=None) -> int:
     except Inapplicable as exc:
         print(f"inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -26,7 +26,7 @@ import numpy.random  # noqa: F401
 
 from .lattice import LatticePMF, empirical_pmf, loc_distance, make_pmf, \
     tv_distance
-from .binomial import centering_params, centered_binomial, check_variance
+from .binomial import centering_params, centered_binomial
 
 BOOTSTRAP_RESAMPLES = 200
 # Rate fits drop points whose distance is within this factor of the floor.
@@ -43,13 +43,16 @@ CHUNK_DRAWS = 2 * 10 ** 7
 # a full chunk peaks at a few MB.
 BLOCK_DRAWS = 2 ** 17
 
-# The process-wide chunk pool, one worker per CPU this process may use; its
-# threads start on first use.  It alone bounds how many chunk kernels (and so
-# their buffers) are live at once, however many threads call sample_chunked.
-# Generator fills and the kernels' ufuncs release the GIL, so the workers run
-# in parallel.  A chunk kernel must never call sample_chunked itself: waiting
-# on the pool from inside it could deadlock.
-_CHUNK_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+# The process-wide chunk pool, one worker per CPU this process may use (per
+# CPU of the machine where the OS cannot say which, as on macOS and Windows);
+# its threads start on first use.  It alone bounds how many chunk kernels
+# (and so their buffers) are live at once, however many threads call
+# sample_chunked.  Generator fills and the kernels' ufuncs release the GIL,
+# so the workers run in parallel.  A chunk kernel must never call
+# sample_chunked itself: waiting on the pool from inside it could deadlock.
+_CHUNK_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0))
+                                 if hasattr(os, "sched_getaffinity")
+                                 else os.cpu_count() or 1)
 
 
 def sample_chunked(chunk_sampler, reps: int, seed: int,
@@ -124,11 +127,12 @@ def run_experiment(sampler, cfg: dict, reps: int, seed: int,
     sampler(cfg, reps, seed) must return reps values on the lattice
     Z + anchor and be deterministic in (cfg, reps, seed).
     """
-    check_variance(sigma2)
     t0 = time.perf_counter()
+    # Refuses sigma2 <= 1 before any sampling.
+    params = centering_params(sigma2, anchor)
     samples = np.asarray(sampler(cfg, reps, seed), dtype=float)
     emp = empirical_pmf(samples, anchor)
-    ref = centered_binomial(centering_params(sigma2, anchor))
+    ref = centered_binomial(params)
     tv = tv_distance(emp, ref)
     loc = loc_distance(emp, ref)
     tv_bs, loc_bs = _bootstrap(emp, ref, reps, seed)
@@ -184,18 +188,23 @@ class RateFit:
     intercept: float
 
 
+def check_scales(scales) -> None:
+    """A rate fit needs at least 3 scales, all positive and distinct."""
+    if len(scales) < 3:
+        raise ValueError("need at least 3 points for a rate fit")
+    if any(x <= 0 for x in scales) or len(set(scales)) != len(scales):
+        raise ValueError("scales must be positive and strictly increasing")
+
+
 def fit_rate(points) -> RateFit:
     """Least-squares slope of log distance against log scale.
 
     The slope CI is the leave-one-out spread of the refitted slopes.
     """
     pts = sorted(points)
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points for a rate fit")
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    if any(x <= 0 for x in xs) or len(set(xs)) != len(xs):
-        raise ValueError("scales must be positive and strictly increasing")
+    check_scales(xs)
     if any(y <= 0 for y in ys):
         raise ValueError("distances must be positive for a log-log fit")
     lx = np.log(xs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -85,14 +86,6 @@ def thin_pattern(points: np.ndarray, r: float) -> np.ndarray:
     return pts[keep]
 
 
-def simulate_pattern(cfg: MaternConfig, seed) -> np.ndarray:
-    """One realization of the thinned process: retained points, shape (k, d)."""
-    rng = np.random.default_rng(seed)
-    tau = rng.poisson(cfg.lam)
-    pts = rng.random((tau, cfg.d))
-    return thin_pattern(pts, cfg.r)
-
-
 def _counts_chunk_1d(cfg: MaternConfig, reps: int, seed_seq) -> np.ndarray:
     rng = np.random.default_rng(seed_seq)
     taus = rng.poisson(cfg.lam, reps)
@@ -121,18 +114,21 @@ def _counts_chunk_1d(cfg: MaternConfig, reps: int, seed_seq) -> np.ndarray:
     return counts
 
 
+def _counts_chunk(cfg: MaternConfig, reps: int, seed_seq) -> np.ndarray:
+    """Any d: each rep draws its tau uniform points in turn and thins them."""
+    rng = np.random.default_rng(seed_seq)
+    counts = np.empty(reps, dtype=np.int64)
+    for k in range(reps):
+        pts = rng.random((rng.poisson(cfg.lam), cfg.d))
+        counts[k] = len(thin_pattern(pts, cfg.r))
+    return counts
+
+
 def simulate_counts(cfg: MaternConfig, reps: int, seed: int) -> np.ndarray:
     """reps independent retained-point counts, deterministic in seed."""
-    if cfg.d == 1:
-        return sample_chunked(lambda m, child: _counts_chunk_1d(cfg, m, child),
-                              reps, seed, cfg.lam)
-    if reps < 1:
-        raise ValueError("need reps >= 1")
-    # d >= 2: rep k is simulate_pattern on child k, in the calling thread;
-    # a rep is short work that mostly holds the GIL, too small for the pool.
-    return np.array([len(simulate_pattern(cfg, c)) for c in
-                     np.random.SeedSequence(entropy=seed).spawn(reps)],
-                    dtype=np.int64)
+    kernel = _counts_chunk_1d if cfg.d == 1 else _counts_chunk
+    return sample_chunked(lambda m, child: kernel(cfg, m, child),
+                          reps, seed, cfg.lam)
 
 
 def mean_total(cfg: MaternConfig) -> float:
@@ -155,17 +151,10 @@ def _second_moment_integral(cfg: MaternConfig) -> float:
     def cube_integral(half_side: float) -> float:
         x = 0.5 * half_side * (_GL_X + 1.0)
         w = 0.5 * half_side * _GL_W
-        grids = np.meshgrid(*([x] * d), indexing="ij")
-        overlap = np.ones_like(grids[0])
-        for g in grids:
-            overlap *= np.clip(r - g, 0.0, None)
+        # Each node's product takes the axes' factors in axis order.
+        overlap = reduce(np.multiply.outer, [np.clip(r - x, 0.0, None)] * d)
         f = np.exp(-lam * (2.0 * r ** d - overlap))
-        wgrid = np.ones_like(f)
-        for axis, _ in enumerate(grids):
-            shape = [1] * d
-            shape[axis] = QUAD_NODES
-            wgrid = wgrid * w.reshape(shape)
-        return float((f * wgrid).sum()) * 2 ** d
+        return float((f * reduce(np.multiply.outer, [w] * d)).sum()) * 2 ** d
 
     return cube_integral(r) - cube_integral(r / 2.0)
 

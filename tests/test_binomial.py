@@ -29,6 +29,13 @@ class TestBinomialPMF:
         assert p.mean() == pytest.approx(20.0, abs=1e-9)
         assert p.variance() == pytest.approx(12.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n,p,match", [
+        (0, 0.5, "n >= 1"), (10, 0.0, "0 < p < 1"), (10, 1.0, "0 < p < 1"),
+        (10, math.nan, "0 < p < 1")])
+    def test_rejects_bad_params(self, n, p, match):
+        with pytest.raises(ValueError, match=match):
+            BinomialParams(n, p)
+
     def test_large_n_relative_accuracy(self):
         n, prob = 10 ** 6, 0.3
         p = binomial_pmf(BinomialParams(n, prob))
@@ -281,6 +288,10 @@ class TestShiftBound:
             shift_bound(BinomialParams(10, 0.5), 0.6, "tv")
         with pytest.raises(ValueError):
             shift_bound(BinomialParams(10, 0.3), -0.8, "loc")
+
+    def test_rejects_unknown_metric(self):
+        with pytest.raises(ValueError, match="metric must be"):
+            shift_bound(BinomialParams(10, 0.5), 0.05, "kl")
 
     @pytest.mark.parametrize("n", [5, 10, 50, 200])
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])

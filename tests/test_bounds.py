@@ -98,6 +98,10 @@ class TestIndependentSumBound:
         expected = (sum(ci * 3 / 16 for ci in c) + 1.75) / 3.0
         assert independent_sum_bound(spec, 1).value == pytest.approx(expected)
 
+    def test_rejects_uncentered_summand(self):
+        with pytest.raises(ValueError, match="mean 0"):
+            IndependentSummandSpec([centered_bernoulli(0.5), bernoulli(0.4)])
+
     def test_rejects_small_variance(self):
         with pytest.raises(ValueError):
             independent_sum_bound(
@@ -203,9 +207,19 @@ class TestIntegerSumBound:
         with pytest.raises(ValueError):
             integer_sum_bound([make_pmf([0.1] + [0.0] * 7 + [0.9])], "tv")
 
+    def test_rejects_insufficient_loc_budget(self):
+        # Two atoms 4 apart: sigma2 = 8, but no mass overlaps a unit shift.
+        with pytest.raises(ValueError, match=r"V - 4v\* <= 0"):
+            integer_sum_bound([make_pmf([0.5, 0.0, 0.0, 0.0, 0.5])] * 2,
+                              "loc")
+
     def test_rejects_fractional_lattice(self):
         with pytest.raises(ValueError):
             integer_sum_bound([make_pmf([0.5, 0.5], offset=0.5)] * 10, "tv")
+
+    def test_rejects_unknown_metric(self):
+        with pytest.raises(ValueError, match="metric must be"):
+            integer_sum_bound([bernoulli(0.5)] * 20, "kl")
 
 
 class TestLocalDependenceBound:
@@ -311,6 +325,8 @@ class TestBoundReport:
     def test_rejects_non_spec(self):
         with pytest.raises(TypeError):
             bound_report(object(), 1)
+        with pytest.raises(TypeError, match="not a bound spec"):
+            spec_to_json(object())
 
 
 class TestSummation:

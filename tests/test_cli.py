@@ -417,9 +417,28 @@ class TestExperimentCommands:
         _, names, rows = read_rows(out)
         assert names[0] == "d" and [r["d"] for r in rows] == ["1"] * 3
 
-    def test_rates_needs_three_scales(self):
+    def test_rates_needs_three_scales(self, capsys):
         assert main(["rates", "--app", "rscan", "--scales", "100", "200",
                      "--reps", "100"]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: need at least 3 points "
+                                           "for a rate fit\n")
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    @pytest.mark.parametrize("argv", [
+        ["rscan", "--n", "100", "--r", "2", "--a", "1.0"],
+        ["matern", "--d", "1", "--lam", "200", "--a", "1.0"],
+        ["rates", "--app", "rscan", "--scales", "100", "200", "400"]])
+    def test_bad_seed_refused_when_parsed(self, argv, seed, monkeypatch,
+                                          capsys):
+        def reached(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "cmd_experiment", reached)
+        monkeypatch.setattr(cli, "cmd_rates", reached)
+        assert main(argv + ["--seed", seed]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --seed: need an integer >= 0, got '{seed}'" in err
 
 
 @pytest.mark.parametrize("app,scales,reps,flag,value", [
@@ -509,6 +528,20 @@ def test_import_does_not_load_scipy_stats():
     code = ("import sys, binapprox.cli; "
             "sys.exit('scipy.stats' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_runs_without_sched_getaffinity():
+    # macOS and Windows have no os.sched_getaffinity; the chunk pool, made
+    # at import, is then sized by os.cpu_count().
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import os, sys; vars(os).pop('sched_getaffinity', None); "
+            "import binapprox.cli as cli; "
+            "sys.exit(cli.main(['rscan', '--n', '100', '--r', '2', '--a', "
+            "'1', '--reps', '1000']))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 NO_LAZY_IMPORT_SCRIPT = """

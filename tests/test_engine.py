@@ -156,6 +156,7 @@ class TestSampleChunked:
 RSCAN_EXP = rscan.RScanConfig(n=60, r=3, a=1.5)
 RSCAN_UNIF = rscan.RScanConfig(n=60, r=3, a=1.2, base_dist="uniform01")
 MATERN_1D = matern.MaternConfig.from_intensity_product(1, 100.0, 1.0)
+MATERN_2D = matern.MaternConfig.from_intensity_product(2, 60.0, 0.5)
 POOL_CASES = {
     "rscan_exponential": (
         lambda reps, seed: rscan.simulate_counts(RSCAN_EXP, reps, seed),
@@ -169,6 +170,10 @@ POOL_CASES = {
         lambda reps, seed: matern.simulate_counts(MATERN_1D, reps, seed),
         lambda m, child: matern._counts_chunk_1d(MATERN_1D, m, child),
         190, 20, 100),
+    "matern_2d": (
+        lambda reps, seed: matern.simulate_counts(MATERN_2D, reps, seed),
+        lambda m, child: matern._counts_chunk(MATERN_2D, m, child),
+        43, 5, 60),
 }
 
 

@@ -129,6 +129,10 @@ class TestConvolve:
         assert (out.offset, out.min_index) == (ref.offset, ref.min_index)
         assert out.min_index == 4 and 0.0 in out.probs
 
+    def test_convolve_all_needs_a_pmf(self):
+        with pytest.raises(ValueError, match="at least one pmf"):
+            convolve_all([])
+
     @given(pmfs(), pmfs(), pmfs())
     @settings(max_examples=60, deadline=None)
     def test_commutative_associative(self, p, q, s):
@@ -198,6 +202,11 @@ class TestEmpiricalPMF:
         with pytest.raises(OffLatticeSampleError, match=f"sample 2 is {bad!r}"):
             empirical_pmf([0.0, 1.0, bad, math.nan], anchor=0.0)
 
+    @pytest.mark.parametrize("samples", [[[0.0, 1.0]], []])
+    def test_samples_must_be_nonempty_1d(self, samples):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            empirical_pmf(samples, anchor=0.0)
+
     def test_large_sample_close_to_binomial(self):
         rng = np.random.default_rng(3)
         samples = rng.binomial(10, 0.5, size=10 ** 6)
@@ -255,6 +264,24 @@ class TestValidation:
     def test_probs_array_must_hold_numbers(self):
         with pytest.raises(ValueError, match="probs must hold numbers"):
             LatticePMF(0.0, 0, np.array(["0.5", "0.5"]))
+
+    @pytest.mark.parametrize("offset,probs,match", [
+        (0.0, np.array([[0.5, 0.5]]), "nonempty 1-D"),
+        (0.0, [], "nonempty 1-D"),
+        (1.0, [0.5, 0.5], r"\[0,1\), got 1.0"),
+        (-0.25, [0.5, 0.5], r"\[0,1\), got -0.25"),
+        (0.0, [0.0, 1.0], "trimmed"),
+        (0.0, [1.0, 0.0], "trimmed")])
+    def test_pmf_refused(self, offset, probs, match):
+        with pytest.raises(ValueError, match=match):
+            LatticePMF(offset, 0, probs)
+
+    @pytest.mark.parametrize("probs,match", [
+        ([[0.5, 0.5]], "nonempty 1-D"), ([], "nonempty 1-D"),
+        ([0.0, 0.0], "no mass")])
+    def test_make_pmf_refused(self, probs, match):
+        with pytest.raises(ValueError, match=match):
+            make_pmf(probs)
 
     def test_negative_prob_rejected(self):
         with pytest.raises(ValueError):

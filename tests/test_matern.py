@@ -6,10 +6,14 @@ import pytest
 
 from binapprox import cli, engine
 from binapprox.engine import fit_rate
-from binapprox.matern import (MaternConfig, _counts_chunk_1d,
+from binapprox.matern import (MaternConfig, _counts_chunk, _counts_chunk_1d,
                               empirical_distance, error_bound, mean_total,
-                              simulate_counts, simulate_pattern, thin_pattern,
-                              variance_total)
+                              simulate_counts, thin_pattern, variance_total)
+
+
+def thinned_pattern(cfg, rng):
+    """One realization from rng's next draws, as the chunk kernel draws it."""
+    return thin_pattern(rng.random((rng.poisson(cfg.lam), cfg.d)), cfg.r)
 
 
 class TestConfig:
@@ -165,7 +169,7 @@ class TestThinPattern:
     def test_hard_core_property(self):
         cfg = MaternConfig(d=2, lam=200.0, r=0.05)
         for seed in range(5):
-            pts = simulate_pattern(cfg, seed)
+            pts = thinned_pattern(cfg, np.random.default_rng(seed))
             if pts.shape[0] < 2:
                 continue
             diff = pts[:, None, :] - pts[None, :, :]
@@ -282,7 +286,7 @@ class TestSimulateCounts:
     def test_fast_path_matches_generic_path_statistically(self):
         cfg = MaternConfig.from_intensity_product(1, 100.0, 1.0)
         fast = simulate_counts(cfg, 20_000, seed=41)
-        slow = np.array([len(simulate_pattern(cfg, [43, i])) for i in range(3000)])
+        slow = _counts_chunk(cfg, 3000, np.random.SeedSequence(43))
         se = math.sqrt(fast.var() / len(fast) + slow.var() / len(slow))
         assert abs(fast.mean() - slow.mean()) < 4 * se
 
@@ -291,28 +295,15 @@ class TestSimulateCounts:
         counts = simulate_counts(cfg, 500, seed=5)
         assert counts.min() >= 0
 
-    def test_2d_rep_is_pattern_on_its_child(self):
-        # d >= 2: rep k is simulate_pattern on the k-th child of the seed.
+    def test_2d_equals_thinned_pattern_rep_for_rep(self):
+        # d >= 2: the reps of one chunk are drawn in turn from its Generator.
         cfg = MaternConfig.from_intensity_product(2, 60.0, 0.5)
-        children = np.random.SeedSequence(11).spawn(9)
-        want = np.array([len(simulate_pattern(cfg, c)) for c in children],
+        rng = np.random.default_rng(np.random.SeedSequence(11).spawn(1)[0])
+        want = np.array([len(thinned_pattern(cfg, rng)) for _ in range(40)],
                         dtype=np.int64)
-        got = simulate_counts(cfg, 9, 11)
+        got = simulate_counts(cfg, 40, 11)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-
-    def test_2d_off_the_chunk_pool(self, monkeypatch):
-        # d >= 2 runs in the calling thread: a pool that refuses work
-        # changes no count.
-        cfg = MaternConfig.from_intensity_product(2, 60.0, 0.5)
-        want = simulate_counts(cfg, 40, 12)
-
-        class RefusingPool:
-            def map(self, *args, **kwargs):
-                raise AssertionError("d >= 2 reached the chunk pool")
-
-        monkeypatch.setattr(engine, "_CHUNK_POOL", RefusingPool())
-        np.testing.assert_array_equal(simulate_counts(cfg, 40, 12), want)
 
     @pytest.mark.parametrize("reps", [0, -1])
     def test_2d_rejects_no_reps(self, reps):

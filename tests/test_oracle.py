@@ -73,6 +73,11 @@ class TestTwoRunsPMF:
         with pytest.raises(ValueError):
             TwoRunsModel(2, 0.5)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, math.nan])
+    def test_rejects_p_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match="0 < p < 1"):
+            TwoRunsModel(10, p)
+
     def test_refuses_past_limit(self):
         with pytest.raises(ValueError, match=r"n=1000001 .*limit of 1000000"):
             two_runs_pmf(TwoRunsModel(10 ** 6 + 1, 0.4))
