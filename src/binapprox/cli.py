@@ -4,7 +4,8 @@ Subcommands: ``bound`` (evaluate a bound spec from JSON), ``exact``
 (exact-distance dominance reports for the solvable benchmarks), ``rscan``
 and ``matern`` (Monte Carlo experiments), ``rates`` (distance-vs-scale
 sweeps with a fitted slope).  Output is UTF-8 CSV with ``#``-prefixed
-header comments echoing the configuration.
+header comments echoing the configuration.  Each handler returns the
+header's config and its table lines; ``main`` alone writes them.
 
 Exit codes: 0 success, 1 usage/config error, 2 inapplicable configuration
 (e.g. variance <= 1), 3 internal failure.
@@ -24,7 +25,7 @@ from . import oracle as _oracle
 from . import rscan as _rscan
 from .binomial import Inapplicable
 from .engine import check_scales, filter_floor, fit_rate
-from .lattice import make_pmf
+from .lattice import check_support, make_pmf
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,8 +49,10 @@ def _header(config: dict) -> list[str]:
     return [f"# schema_version={CSV_SCHEMA_VERSION}", f"# {echo}"]
 
 
-def _row(names, values) -> list[str]:
-    return [",".join(names), ",".join(_fmt(v) for v in values)]
+def _table(rows: list[dict]) -> list[str]:
+    """The first row's keys as the column line, then each row's values."""
+    return [",".join(rows[0])] + [",".join(_fmt(v) for v in row.values())
+                                  for row in rows]
 
 
 def _fmt(v) -> str:
@@ -58,22 +61,21 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> tuple[dict, list[str]]:
     with open(args.spec_file, "r", encoding="utf-8") as fh:
         spec = _bounds.spec_from_json(fh.read())
-    lines = _header({"subcommand": "bound", "spec_file": args.spec_file})
-    lines.append("metric,l,bound,sigma2,theta_sum,constant")
+    rows = []
     for l, metric in ((1, "tv"), (2, "loc")):
         rep = _bounds.bound_report(spec, l)
-        lines.append(",".join(_fmt(v) for v in
-                              (metric, l, rep.value, rep.sigma2, rep.theta_sum,
-                               _bounds.ROUNDING_CONSTANT)))
-    _emit(lines, args.out)
-    return EXIT_OK
+        rows.append({"metric": metric, "l": l, "bound": rep.value,
+                     "sigma2": rep.sigma2, "theta_sum": rep.theta_sum,
+                     "constant": _bounds.ROUNDING_CONSTANT})
+    return {"subcommand": "bound", "spec_file": args.spec_file}, _table(rows)
 
 
-def cmd_exact(args) -> int:
+def cmd_exact(args) -> tuple[dict, list[str]]:
     if args.kind == "poisson-binomial":
+        check_support(args.n + 1)  # before the n-entry summand list
         summands = [make_pmf([1.0 - args.p, args.p]).translate(-args.p)] * args.n
         w = _oracle.exact_sum_pmf(summands)
         spec = _bounds.IndependentSummandSpec(summands)
@@ -86,14 +88,11 @@ def cmd_exact(args) -> int:
     tv, loc, _cp = _oracle.exact_distance_report(w)
     b1, b2 = (_bounds.bound_report(spec, l).value for l in (1, 2))
     verdict = "PASS" if (tv <= b1 and loc <= b2) else "FAIL"
-    lines = _header({"subcommand": "exact", "kind": args.kind,
-                     "n": args.n, "p": args.p})
-    lines += _row(
-        ["kind", "n", "p", "sigma2", "exact_tv", "exact_loc",
-         "bound_l1", "bound_l2", "verdict"],
-        [args.kind, args.n, args.p, spec.sigma2, tv, loc, b1, b2, verdict])
-    _emit(lines, args.out)
-    return EXIT_OK
+    row = {"kind": args.kind, "n": args.n, "p": args.p, "sigma2": spec.sigma2,
+           "exact_tv": tv, "exact_loc": loc, "bound_l1": b1, "bound_l2": b2,
+           "verdict": verdict}
+    return ({"subcommand": "exact", "kind": args.kind, "n": args.n,
+             "p": args.p}, _table([row]))
 
 
 def _config(app: str, args, scale):
@@ -117,21 +116,17 @@ def _experiment(app: str, args, cfg):
 
 
 def _result_lines(results) -> list[str]:
-    """Column line and one row per result; the app is in the header."""
-    rows = [res.csv_row() for res in results]
-    cols = [c for c in rows[0] if c != "app"]
-    return [",".join(cols)] + [",".join(_fmt(row[c]) for c in cols)
-                               for row in rows]
+    """The results' table; the app is in the header."""
+    return _table([{k: v for k, v in res.csv_row().items() if k != "app"}
+                   for res in results])
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> tuple[dict, list[str]]:
     scale = args.n if args.subcommand == "rscan" else args.lam
     res = _experiment(args.subcommand, args,
                       _config(args.subcommand, args, scale))
-    lines = _header(res.config_echo | {"reps": args.reps, "seed": args.seed})
-    lines += _result_lines([res])
-    _emit(lines, args.out)
-    return EXIT_OK
+    return (res.config_echo | {"reps": args.reps, "seed": args.seed},
+            _result_lines([res]))
 
 
 def _app_flags(args) -> None:
@@ -148,7 +143,7 @@ def _app_flags(args) -> None:
         raise ValueError(f"{stray} does not apply to --app {args.app}")
 
 
-def cmd_rates(args) -> int:
+def cmd_rates(args) -> tuple[dict, list[str]]:
     scales = args.scales
     _app_flags(args)
     # Every scale's config, and fit_rate's rule on the scales, is checked
@@ -167,14 +162,11 @@ def cmd_rates(args) -> int:
             results.append(future.result())
             print(f"# rates {args.app} scale={scale:.15g} ({i}/{len(scales)}) "
                   f"{time.perf_counter() - t0:.2f} s", file=sys.stderr)
-    key = "tv" if args.metric == "tv" else "loc"
-    points = [(float(s), getattr(r, key)) for s, r in zip(scales, results)]
-    floors = [r.tv_floor if key == "tv" else r.loc_floor for r in results]
+    points = [(float(s), getattr(r, args.metric))
+              for s, r in zip(scales, results)]
+    floors = [getattr(r, f"{args.metric}_floor") for r in results]
     kept, dropped = filter_floor(points, floors)
-    lines = _header({"subcommand": "rates", "app": args.app,
-                     "metric": args.metric, "scales": ";".join(map(str, scales)),
-                     "reps": args.reps, "seed": args.seed})
-    lines += _result_lines(results)
+    lines = _result_lines(results)
     if len(kept) >= 3:
         fit = fit_rate(kept)
         lines.append(f"# slope={fit.slope!r} slope_lo={fit.slope_ci[0]!r} "
@@ -183,8 +175,10 @@ def cmd_rates(args) -> int:
     else:
         lines.append(f"# slope=nan n_dropped={len(dropped)} "
                      "(too few points above the noise floor)")
-    _emit(lines, args.out)
-    return EXIT_OK
+    echo = {"subcommand": "rates", "app": args.app, "metric": args.metric,
+            "scales": ";".join(map(str, scales)), "reps": args.reps,
+            "seed": args.seed}
+    return echo, lines
 
 
 def _seed(text: str) -> int:
@@ -203,46 +197,46 @@ def build_parser() -> argparse.ArgumentParser:
         prog="binapprox",
         description="Centered-binomial approximation bounds and experiments")
     sub = ap.add_subparsers(dest="subcommand", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    mc = argparse.ArgumentParser(add_help=False, parents=[out])
+    mc.add_argument("--reps", type=int, default=10 ** 5)
+    mc.add_argument("--seed", type=_seed, default=0)
 
-    p = sub.add_parser("bound", help="evaluate a bound spec from JSON")
+    p = sub.add_parser("bound", parents=[out],
+                       help="evaluate a bound spec from JSON")
     p.add_argument("spec_file")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("exact", help="exact-distance dominance report")
+    p = sub.add_parser("exact", parents=[out],
+                       help="exact-distance dominance report")
     p.add_argument("kind", choices=["poisson-binomial", "two-runs"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("rscan", help="window-exceedance experiment")
+    p = sub.add_parser("rscan", parents=[mc],
+                       help="window-exceedance experiment")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--dist", choices=list(_rscan.BASE_DISTS),
                    default="exponential")
-    p.add_argument("--reps", type=int, default=10 ** 5)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("matern", help="hard-core point count experiment")
+    p = sub.add_parser("matern", parents=[mc],
+                       help="hard-core point count experiment")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lam", type=float, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--r", type=float, default=None)
     group.add_argument("--a", type=float, default=None)
-    p.add_argument("--reps", type=int, default=10 ** 5)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("rates", help="distance-vs-scale sweep with slope fit")
+    p = sub.add_parser("rates", parents=[mc],
+                       help="distance-vs-scale sweep with slope fit")
     p.add_argument("--app", choices=["rscan", "matern"], required=True)
     p.add_argument("--scales", type=float, nargs="+", required=True)
-    p.add_argument("--reps", type=int, default=10 ** 5)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--metric", choices=["tv", "loc"], default="tv")
     p.add_argument("--r", type=int, help="rscan only (default 2)")
     p.add_argument("--a", type=float, default=1.0)
@@ -250,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", choices=list(_rscan.BASE_DISTS),
                    default="exponential",
                    help="rscan only; on matern the default is a no-op")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rates)
     return ap
 
@@ -262,7 +255,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        echo, lines = args.func(args)
+        _emit(_header(echo) + lines, args.out)
+        return EXIT_OK
     except Inapplicable as exc:
         print(f"inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE

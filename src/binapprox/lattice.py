@@ -196,6 +196,12 @@ def convolve(p: LatticePMF, q: LatticePMF) -> LatticePMF:
                     p.offset + q.offset, renormalize=True)
 
 
+def check_support(atoms: int) -> None:
+    """Refuse a law of more than SUPPORT_CAP atoms."""
+    if atoms > SUPPORT_CAP:
+        raise ValueError(f"convolution support would exceed cap {SUPPORT_CAP}")
+
+
 def convolve_all(pmfs: list[LatticePMF]) -> LatticePMF:
     """The left fold of ``convolve``, bit for bit: each step renormalizes,
     trims and places as ``make_pmf`` does, on raw arrays, and the result is
@@ -203,8 +209,7 @@ def convolve_all(pmfs: list[LatticePMF]) -> LatticePMF:
     refused before the first convolution."""
     if not pmfs:
         raise ValueError("need at least one pmf")
-    if sum(len(p) - 1 for p in pmfs) + 1 > SUPPORT_CAP:
-        raise ValueError(f"convolution support would exceed cap {SUPPORT_CAP}")
+    check_support(sum(len(p) - 1 for p in pmfs) + 1)
     probs, index, offset = pmfs[0].probs, pmfs[0].min_index, pmfs[0].offset
     for p in pmfs[1:]:
         acc = np.convolve(probs, p.probs)

@@ -54,13 +54,20 @@ class RScanConfig:
 
 
 def _irwin_hall(x: np.ndarray, m: int, power: int) -> np.ndarray:
-    """Irwin-Hall cdf (power m) or pdf (power m-1) of m uniforms, at each
-    0 <= x <= m."""
-    total = np.zeros_like(x)
-    for k in range(m):
+    """Irwin-Hall cdf (power m) or pdf (power m-1) of m <= GL_NODES uniforms,
+    at each 0 <= x <= m; above m/2, where the alternating sum cancels, it is
+    taken by symmetry from m - x."""
+    if m > GL_NODES:
+        raise ValueError(f"the uniform window law is computed for r <= "
+                         f"{GL_NODES}, got {m} variables")
+    upper = x > m / 2
+    y = np.where(upper, m - x, x)
+    total = np.zeros_like(y)
+    for k in range(math.ceil(m / 2)):
         coef = float((-1) ** k * math.comb(m, k))
-        total += np.where(x >= k, coef * (x - k) ** power, 0.0)
-    return total / math.factorial(power)
+        total += np.where(y >= k, coef * (y - k) ** power, 0.0)
+    total /= math.factorial(power)
+    return np.where(upper, 1.0 - total, total) if power == m else total
 
 
 def _gamma_cdf(x: np.ndarray, m: int) -> np.ndarray:
@@ -101,7 +108,7 @@ def _window_cdf(cfg: RScanConfig, x: np.ndarray, m: int) -> np.ndarray:
 def _window_pdf(cfg: RScanConfig, x: np.ndarray, m: int) -> np.ndarray:
     """Density of the sum of m >= 1 base variables, at each x > 0."""
     if cfg.base_dist == "exponential":
-        return x ** (m - 1) * np.exp(-x) / math.factorial(m - 1)
+        return np.exp((m - 1) * np.log(x) - x - math.lgamma(m))
     return np.where(x < m, _irwin_hall(np.minimum(x, m), m, m - 1), 0.0)
 
 

@@ -299,6 +299,17 @@ class TestExactCommand:
                      "--p", "0.3"]) == EXIT_USAGE
         assert "exceed cap 10000" in capsys.readouterr().err
 
+    def test_poisson_binomial_cap_checked_before_summands(self, monkeypatch,
+                                                          capsys):
+        # A billion summands would be an 8 GB list; none is built.
+        def make_pmf(*args, **kwargs):
+            raise AssertionError("summand built")
+
+        monkeypatch.setattr(cli, "make_pmf", make_pmf)
+        assert main(["exact", "poisson-binomial", "--n", "1000000000",
+                     "--p", "0.3"]) == EXIT_USAGE
+        assert "exceed cap 10000" in capsys.readouterr().err
+
     def test_poisson_binomial_nan_p(self, capsys):
         assert main(["exact", "poisson-binomial", "--n", "10",
                      "--p", "nan"]) == EXIT_USAGE
@@ -495,6 +506,21 @@ def test_every_public_name_in_src_is_used_or_documented():
               and not node.name.startswith("_")
               and node.name not in used | documented}
     assert not unused
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "spec.json"],
+    ["exact", "two-runs", "--n", "30", "--p", "0.5"],
+    ["rscan", "--n", "100", "--r", "2", "--a", "1.0", "--reps", "200"],
+    ["matern", "--d", "1", "--lam", "200", "--a", "1.0", "--reps", "200"],
+    ["rates", "--app", "rscan", "--scales", "100", "200", "400",
+     "--reps", "200"]], ids=lambda argv: argv[0])
+def test_unwritable_out_is_usage_error(argv, zero_spec, monkeypatch, capsys):
+    # --out names a directory: main's one write fails for every command.
+    monkeypatch.chdir(zero_spec.parent)
+    assert main(argv + ["--out", str(zero_spec.parent)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].startswith("error: ")
 
 
 class TestUsageErrors:

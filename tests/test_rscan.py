@@ -1,13 +1,15 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from binapprox import cli, engine
 from binapprox.engine import fit_rate
-from binapprox.rscan import (PRODUCT_MAX_R, RScanConfig, _gamma_cdf,
-                             _simulate_chunk, empirical_distance,
+from binapprox.rscan import (GL_NODES, PRODUCT_MAX_R, RScanConfig,
+                             _gamma_cdf, _simulate_chunk, _window_pdf,
+                             empirical_distance,
                              error_bound, exceedance_prob, psi,
                              simulate_counts, variance_formula)
 
@@ -74,6 +76,58 @@ def irwin_hall(x, m, power):
     x, 0 < x < m."""
     return sum((-1) ** k * math.comb(m, k) * (x - k) ** power
                for k in range(int(math.floor(x)) + 1)) / math.factorial(power)
+
+
+class TestWindowLaw:
+    def test_exponential_pdf_matches_scipy_for_long_windows(self):
+        # (m - 1)! overflows a float from m = 172; the log form does not.
+        # Its exponent is a sum of terms up to ~1700 at m = 300, whose
+        # rounding (and lgamma's) sets the relative error.
+        from scipy.stats import gamma
+
+        cfg = cfg_exp(100)
+        eps = np.finfo(float).eps
+        for m in list(range(1, 40)) + list(range(40, 301, 13)) + [171, 172,
+                                                                   173, 300]:
+            x = m + math.sqrt(m) * np.linspace(-3.0, 3.0, 61)
+            x = x[x > 0]
+            ref = gamma(m).pdf(x)
+            scale = (m - 1) * np.abs(np.log(x)) + x + math.lgamma(m)
+            tol = np.maximum(1e-13, 4 * eps * scale)
+            assert (np.abs(_window_pdf(cfg, x, m) - ref) <= tol * ref).all(), m
+
+    @pytest.mark.parametrize("r", [8, 16, 24, 32])
+    def test_uniform_cdf_matches_exact_irwin_hall(self, r):
+        # The alternating sum cancels near x = r; by symmetry it is only
+        # summed up to r/2.
+        for k in range(1, 98):
+            a = r * k / 98
+            p = exceedance_prob(RScanConfig(3 * r, r, a, "uniform01"))
+            ref = irwin_hall(Fraction(a), r, r)
+            assert abs(Fraction(p) - ref) <= 1e-12 * ref, a
+
+    def test_uniform_nearly_certain_window(self):
+        cfg = RScanConfig(n=120, r=32, a=30.0, base_dist="uniform01")
+        assert abs(exceedance_prob(cfg) - 1.0) <= 1e-12
+        assert variance_formula(cfg) < 1e-6
+
+    def test_uniform_law_refused_past_gl_nodes(self, capsys):
+        with pytest.raises(ValueError, match=f"r <= {GL_NODES}, got 33"):
+            exceedance_prob(RScanConfig(n=120, r=33, a=10.0,
+                                        base_dist="uniform01"))
+        assert cli.main(["rscan", "--n", "120", "--r", "40", "--a", "30",
+                         "--dist", "uniform01"]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and f"r <= {GL_NODES}" in err
+
+    def test_long_exponential_window_runs(self, capsys):
+        # The variance needs the Gamma(m) density for m up to r - 1 = 172;
+        # 4000 simulated reps give sigma2 = 14627 +- 327.
+        assert cli.main(["rscan", "--n", "519", "--r", "173", "--a", "173",
+                         "--reps", "200"]) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        row = dict(zip(out[2].split(","), out[3].split(",")))
+        assert float(row["sigma2"]) == pytest.approx(14627, rel=0.1)
 
 
 def quad_psi(cfg, d):
