@@ -13,19 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticePMF, make_pmf
-
-# Snap fractional parts within this distance of an integer, so that a
-# variance with 4*sigma2 numerically indistinguishable from an integer does
-# not produce delta ~ 1 - eps.
-FRAC_SNAP = 1e-9
-
-
-def _frac(x: float) -> float:
-    f = x - math.floor(x)
-    if f > 1.0 - FRAC_SNAP or f < FRAC_SNAP:
-        return 0.0
-    return f
+from .lattice import LatticePMF, _split_position, make_pmf
 
 
 @dataclass(frozen=True)
@@ -75,10 +63,14 @@ def check_variance(sigma2: float) -> None:
 
 
 def centering_params(sigma2: float, a: float) -> CenteringParams:
+    """The fractional parts are the lattice's (``_split_position``), so a
+    4*sigma2 numerically indistinguishable from an integer gives delta = 0,
+    not delta ~ 1 - eps."""
     check_variance(sigma2)
-    delta = _frac(-4.0 * sigma2)
+    delta = _split_position(-4.0 * sigma2)[1]
     n = int(round(4.0 * sigma2 + delta))
-    t = _frac(a + 2.0 * sigma2 + delta / 2.0) / (4.0 * sigma2 + delta)
+    t = (_split_position(a + 2.0 * sigma2 + delta / 2.0)[1]
+         / (4.0 * sigma2 + delta))
     return CenteringParams(sigma2=sigma2, a=a % 1.0, n=n, delta=delta, t=t)
 
 

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
-from .lattice import (LatticePMF, _check_order, _number, convolve_all,
-                      smoothness_functional, tv_distance)
+from .lattice import (LatticePMF, _check_order, _number, _split_position,
+                      convolve_all, smoothness_functional, tv_distance)
 from .binomial import check_variance, BinomialParams, binomial_pmf
 
 # Additive constant absorbed by every bound: the lattice-rounding and
@@ -149,7 +149,7 @@ def integer_sum_bound(summands: list[LatticePMF], metric: str) -> tuple[float, L
     if metric not in ("tv", "loc"):
         raise ValueError(f"metric must be 'tv' or 'loc', got {metric!r}")
     for s in summands:
-        if abs(s.offset) > 1e-9:
+        if _split_position(s.offset)[1]:
             raise ValueError("summands must be integer valued")
     sigma2 = math.fsum(s.variance() for s in summands)
     check_variance(sigma2)
@@ -402,8 +402,14 @@ def _expand(entries: list, build) -> list:
     return out
 
 
+def _json_int(text: str):
+    """A JSON integer, or ±inf past the double range, as 1e400 reads."""
+    x = float(text)
+    return int(text) if math.isfinite(x) else x
+
+
 def spec_from_json(text: str):
-    doc = json.loads(text)
+    doc = json.loads(text, parse_int=_json_int)
     try:
         kind = doc["kind"]
         if kind in _TABLE:

@@ -20,6 +20,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds as _bounds
+from . import engine as _engine
 from . import matern as _matern
 from . import oracle as _oracle
 from . import rscan as _rscan
@@ -150,12 +151,13 @@ def cmd_rates(args) -> tuple[dict, list[str]]:
     # before the first experiment runs.
     cfgs = [_config(args.app, args, scale) for scale in scales]
     check_scales(scales)
-    # The scales run together, one thread each, so their chunks share the
-    # engine's chunk pool; results and progress lines come in scale order,
-    # and the first failing scale's error is raised with no line for it.
+    # The scales run together, at most one more than the engine has chunk
+    # workers, so their chunks share its chunk pool and keep it busy;
+    # results and progress lines come in scale order, and the first failing
+    # scale's error is raised with no line for it.
     t0 = time.perf_counter()
     results = []
-    with ThreadPoolExecutor(len(cfgs)) as pool:
+    with ThreadPoolExecutor(min(len(cfgs), _engine.WORKERS + 1)) as pool:
         futures = [pool.submit(_experiment, args.app, args, cfg)
                    for cfg in cfgs]
         for i, (scale, future) in enumerate(zip(scales, futures), 1):

@@ -43,16 +43,17 @@ CHUNK_DRAWS = 2 * 10 ** 7
 # a full chunk peaks at a few MB.
 BLOCK_DRAWS = 2 ** 17
 
-# The process-wide chunk pool, one worker per CPU this process may use (per
-# CPU of the machine where the OS cannot say which, as on macOS and Windows);
-# its threads start on first use.  It alone bounds how many chunk kernels
-# (and so their buffers) are live at once, however many threads call
-# sample_chunked.  Generator fills and the kernels' ufuncs release the GIL,
-# so the workers run in parallel.  A chunk kernel must never call
-# sample_chunked itself: waiting on the pool from inside it could deadlock.
-_CHUNK_POOL = ThreadPoolExecutor(len(os.sched_getaffinity(0))
-                                 if hasattr(os, "sched_getaffinity")
-                                 else os.cpu_count() or 1)
+# The CPUs this process may use (those of the machine where the OS cannot
+# say which, as on macOS and Windows): the chunk pool's worker count.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+# The process-wide chunk pool, one worker per CPU; its threads start on
+# first use.  It alone bounds how many chunk kernels (and so their buffers)
+# are live at once, however many threads call sample_chunked.  Generator
+# fills and the kernels' ufuncs release the GIL, so the workers run in
+# parallel.  A chunk kernel must never call sample_chunked itself: waiting on
+# the pool from inside it could deadlock.
+_CHUNK_POOL = ThreadPoolExecutor(WORKERS)
 
 
 def sample_chunked(chunk_sampler, reps: int, seed: int,

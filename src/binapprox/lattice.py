@@ -8,6 +8,7 @@ functionals and convolutions in the package are expressed through the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,8 @@ SNAP_TOL = 1e-6
 # Most atoms convolve_all's result may have: it convolves one pmf at a time,
 # quadratic in the pmfs.
 SUPPORT_CAP = 10 ** 4
+# Largest |min_index|: positions are doubles, exact for integers up to 2**53.
+INDEX_CAP = 2 ** 53
 
 
 class LatticeMismatchError(ValueError):
@@ -74,6 +77,9 @@ class LatticePMF:
             raise ValueError(
                 f"min_index must be an integer, got {self.min_index!r}")
         object.__setattr__(self, "min_index", int(self.min_index))
+        if abs(self.min_index) > INDEX_CAP:
+            raise ValueError(f"min_index must lie within ±2**53, got "
+                             f"{self.min_index}")
         _number("offset", self.offset)
         if isinstance(self.probs, list):
             for v in self.probs:
@@ -190,12 +196,6 @@ def loc_distance(p: LatticePMF, q: LatticePMF) -> float:
     return min(float(np.abs(a - b).max()), 1.0)
 
 
-def convolve(p: LatticePMF, q: LatticePMF) -> LatticePMF:
-    """Distribution of the sum of independent draws from p and q."""
-    return make_pmf(np.convolve(p.probs, q.probs), p.min_index + q.min_index,
-                    p.offset + q.offset, renormalize=True)
-
-
 def check_support(atoms: int) -> None:
     """Refuse a law of more than SUPPORT_CAP atoms."""
     if atoms > SUPPORT_CAP:
@@ -203,22 +203,17 @@ def check_support(atoms: int) -> None:
 
 
 def convolve_all(pmfs: list[LatticePMF]) -> LatticePMF:
-    """The left fold of ``convolve``, bit for bit: each step renormalizes,
-    trims and places as ``make_pmf`` does, on raw arrays, and the result is
-    validated once.  A sum whose support would exceed SUPPORT_CAP atoms is
-    refused before the first convolution."""
+    """Law of the sum of independent draws from the pmfs: the left fold of
+    ``np.convolve`` over their probs, placed once by ``make_pmf`` at the
+    sum of their first indices and the exactly rounded sum of their
+    offsets.  A sum whose support would exceed SUPPORT_CAP atoms is refused
+    before the first convolution."""
     if not pmfs:
         raise ValueError("need at least one pmf")
     check_support(sum(len(p) - 1 for p in pmfs) + 1)
-    probs, index, offset = pmfs[0].probs, pmfs[0].min_index, pmfs[0].offset
-    for p in pmfs[1:]:
-        acc = np.convolve(probs, p.probs)
-        acc /= acc.sum()
-        nz = np.flatnonzero(acc)
-        base, offset = _split_position(offset + p.offset)
-        index += p.min_index + base + int(nz[0])
-        probs = acc[nz[0]:nz[-1] + 1]
-    return LatticePMF(offset, index, probs)
+    return make_pmf(functools.reduce(np.convolve, (p.probs for p in pmfs)),
+                    sum(p.min_index for p in pmfs),
+                    math.fsum(p.offset for p in pmfs), renormalize=True)
 
 
 def smoothness_functional(p: LatticePMF, l: int) -> float:

@@ -47,10 +47,18 @@ class MaternConfig:
 
     @classmethod
     def from_intensity_product(cls, d: int, lam: float, a: float) -> "MaternConfig":
-        # Where (a/lam)^(1/d) is no real number, __post_init__ refuses the
-        # bad field by its own message.
-        real = d >= 1 and lam > 0 and a >= 0
-        return cls(d=d, lam=lam, r=(a / lam) ** (1.0 / d) if real else math.nan)
+        """The config of side r = (a/lam)^(1/d); a refused r names the a
+        and lam that gave it.  A bad d or lam is left to __post_init__'s
+        own message."""
+        if not 0.0 < a < math.inf:
+            raise ValueError(f"need a > 0 and finite, got {a}")
+        if not (d >= 1 and 0 < lam < math.inf):
+            return cls(d=d, lam=lam, r=math.nan)
+        r = (a / lam) ** (1.0 / d)
+        if not 0.0 < r <= 1.0 / 7.0:
+            raise ValueError(f"need 0 < r <= 1/7, got r = {r} from a = {a}, "
+                             f"lam = {lam}")
+        return cls(d=d, lam=lam, r=r)
 
 
 def thin_pattern(points: np.ndarray, r: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from binapprox.bounds import (IndependentSummandSpec, decomposition_bound,
                               independent_sum_bound, integer_sum_bound,
                               local_dependence_bound)
 from binapprox.engine import fit_rate
-from binapprox.lattice import (convolve, convolve_all, loc_distance, make_pmf,
+from binapprox.lattice import (convolve_all, loc_distance, make_pmf,
                                smoothness_functional, tv_distance)
 from binapprox.matern import MaternConfig
 from binapprox.matern import empirical_distance as matern_distance
@@ -133,7 +133,7 @@ def test_acceptance_5_identity_inequality_axioms():
         mu, lam = rand_pmf(), rand_pmf()
         lhs = smoothness_functional(mu, 1)
         assert abs(lhs - 2.0 * tv_distance(mu, mu.shift(1))) < 1e-12
-        d2 = smoothness_functional(convolve(mu, lam), 2)
+        d2 = smoothness_functional(convolve_all([mu, lam]), 2)
         assert d2 <= (smoothness_functional(mu, 1)
                       * smoothness_functional(lam, 1)) + 1e-12
 

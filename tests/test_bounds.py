@@ -18,8 +18,8 @@ from binapprox.bounds import (BoundReport, DecomposableSpec, DecompositionTerm,
                               local_dependence_bound, point_process_bound,
                               rho, runs, smoothing_bounds, spec_from_json,
                               spec_to_json, step_overlap)
-from binapprox.lattice import (convolve_all, loc_distance, make_pmf,
-                               smoothness_functional, tv_distance)
+from binapprox.lattice import (LatticePMF, convolve_all, loc_distance,
+                               make_pmf, smoothness_functional, tv_distance)
 
 
 def centered_bernoulli(p):
@@ -216,6 +216,16 @@ class TestIntegerSumBound:
     def test_rejects_fractional_lattice(self):
         with pytest.raises(ValueError):
             integer_sum_bound([make_pmf([0.5, 0.5], offset=0.5)] * 10, "tv")
+
+    def test_offset_within_snap_of_one_is_integer(self):
+        # The lattice Z, as lattices_match and make_pmf place it, with its
+        # atoms at 1 and 2.
+        near = LatticePMF(1.0 - 1e-12, 0, [0.5, 0.5])
+        bound, approx = integer_sum_bound([near] * 20, "tv")
+        ref_bound, ref_approx = integer_sum_bound(
+            [make_pmf([0.5, 0.5], min_index=1)] * 20, "tv")
+        assert bound == pytest.approx(ref_bound, rel=1e-9)
+        assert approx == ref_approx
 
     def test_rejects_unknown_metric(self):
         with pytest.raises(ValueError, match="metric must be"):

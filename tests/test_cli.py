@@ -7,12 +7,14 @@ import re
 import runpy
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from binapprox import bounds, cli, oracle
+from binapprox import bounds, cli, engine, oracle
 from binapprox.lattice import convolve_all, make_pmf, smoothness_functional
 from binapprox.cli import (EXIT_INAPPLICABLE, EXIT_INTERNAL, EXIT_OK,
                           EXIT_USAGE, main)
@@ -126,6 +128,30 @@ class TestBoundCommand:
         assert main(["bound", str(path)]) == EXIT_INAPPLICABLE
         out, err = capsys.readouterr()
         assert out == "" and "got inf" in err
+
+    @pytest.mark.parametrize("doc,code,needle", [
+        ({"kind": "local_dependence", "sigma2": 10 ** 400, "anchor": 0.0,
+          "terms": [{"m_xi_eta2": 1.0, "m_xi_eta_tau": 1.0, "m_cov": 0.0,
+                     "m_tau": 0.0, "c1": 1.0, "c2": 1.0}]},
+         EXIT_INAPPLICABLE, "variance must exceed 1, got inf"),
+        ({"kind": "point_process", "sigma2": 10 ** 400, "terms": []},
+         EXIT_INAPPLICABLE, "variance must exceed 1, got inf"),
+        ({"kind": "independent", "summands": [
+            {"offset": 0.0, "min_index": 10 ** 400, "probs": [0.5, 0.5]},
+            {"offset": 0.0, "min_index": -1, "probs": [0.5, 0.5]}]},
+         EXIT_USAGE, "min_index"),
+        ({"kind": "independent", "summands": [
+            {"offset": 0.0, "min_index": 2 ** 60, "probs": [0.5, 0.5]},
+            {"offset": 0.0, "min_index": -1, "probs": [0.5, 0.5]}]},
+         EXIT_USAGE, "min_index must lie within")],
+        ids=["local", "point_process", "past_double", "past_2_53"])
+    def test_huge_integer_refused(self, tmp_path, capsys, doc, code, needle):
+        # A JSON integer past the double range reads as inf, as 1e400 does.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bound", str(path)]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and needle in err
 
     @pytest.mark.parametrize("doc,needle", [
         ({"kind": "local_dependence", "sigma2": 4.0, "anchor": 0.0,
@@ -374,6 +400,31 @@ class TestExperimentCommands:
         assert out == ""
         assert err.startswith("inapplicable: variance must exceed 1")
         assert "# rates" not in err
+
+    def test_rates_runs_at_most_one_scale_more_than_workers(self,
+                                                             monkeypatch):
+        # Ten scales on two chunk workers run three at a time, not one
+        # thread each.
+        monkeypatch.setattr(engine, "WORKERS", 2)
+        lock, running, most = threading.Lock(), [0], [0]
+        experiment = cli._experiment
+
+        def counted(*args):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.05)  # so that every scale the pool starts overlaps
+            try:
+                return experiment(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(cli, "_experiment", counted)
+        scales = [str(100 * k) for k in range(1, 11)]
+        assert main(["rates", "--app", "rscan", "--scales", *scales,
+                     "--reps", "200", "--out", os.devnull]) == EXIT_OK
+        assert most[0] == 3
 
     def test_rates_checks_every_scale_first(self, capsys):
         # No scale runs, and no progress line is printed, before the bad one

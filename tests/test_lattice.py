@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binapprox.lattice import (LatticeMismatchError, LatticePMF,
-                               OffLatticeSampleError, convolve, convolve_all,
+                               OffLatticeSampleError, convolve_all,
                                empirical_pmf, loc_distance, make_pmf,
                                smoothness_functional, tv_distance)
 from binapprox.binomial import BinomialParams, binomial_pmf
@@ -93,13 +94,14 @@ class TestLocDistance:
 
 class TestConvolve:
     def test_point_masses(self):
-        assert convolve(make_pmf([1.0], offset=0.25),
-                        make_pmf([1.0], offset=0.5)).positions[0] \
+        assert convolve_all([make_pmf([1.0], offset=0.25),
+                             make_pmf([1.0], offset=0.5)]).positions[0] \
             == pytest.approx(0.75)
 
     def test_bernoulli_square(self):
         p = make_pmf([0.5, 0.5])
-        np.testing.assert_allclose(convolve(p, p).probs, [0.25, 0.5, 0.25])
+        np.testing.assert_allclose(convolve_all([p, p]).probs,
+                                   [0.25, 0.5, 0.25])
 
     def test_sixfold_bernoulli_is_binomial(self):
         p = make_pmf([0.5, 0.5])
@@ -109,25 +111,43 @@ class TestConvolve:
 
     def test_offset_carry(self):
         p = make_pmf([1.0], offset=0.75)
-        out = convolve(p, p)
+        out = convolve_all([p, p])
         assert out.offset == pytest.approx(0.5)
         assert out.positions[0] == pytest.approx(1.5)
 
-    def test_convolve_all_is_the_left_fold_bit_for_bit(self):
+    def test_convolve_all_matches_enumeration(self):
         # Offsets summing past 1, nonzero min_index, a gap of zero atoms
         # too wide to fill, and edge atoms whose product underflows to 0, so
-        # the last step trims: untrimmed, the sum would start at index 3.
+        # the sum is trimmed: untrimmed, it would start at index 3.
         laws = [make_pmf([0.2, 0, 0, 0, 0, 0, 0.8], min_index=-3, offset=0.7),
                 make_pmf([1e-200, 0.6, 0.4], min_index=2, offset=0.7),
                 make_pmf([0.5, 0.5], min_index=-1, offset=0.5),
                 make_pmf([1e-200, 1.0], min_index=4)]
         out = convolve_all(laws)
-        ref = laws[0]
-        for p in laws[1:]:
-            ref = convolve(ref, p)
-        assert np.array_equal(out.probs, ref.probs)
-        assert (out.offset, out.min_index) == (ref.offset, ref.min_index)
-        assert out.min_index == 4 and 0.0 in out.probs
+        # Every choice of one atom per law, by the sum of its indices.
+        mass = {}
+        for atoms in itertools.product(*(
+                [(p.min_index + k, w) for k, w in enumerate(p.probs)]
+                for p in laws)):
+            k = sum(i for i, _ in atoms)
+            mass[k] = mass.get(k, 0.0) + math.prod(w for _, w in atoms)
+        lo = min(k for k, w in mass.items() if w > 0)
+        hi = max(k for k, w in mass.items() if w > 0)
+        # The offsets add to 1.9: one whole step into min_index.
+        total = math.fsum(p.offset for p in laws)
+        assert (out.offset, out.min_index) == (total - 1, lo + 1)
+        assert out.min_index == 4 and len(out) == hi - lo + 1
+        ref = make_pmf([mass.get(k, 0.0) for k in range(lo, hi + 1)], lo + 1,
+                       out.offset)
+        assert 0.0 in out.probs and 0.0 in ref.probs
+        assert tv_distance(out, ref) < 1e-15
+
+    def test_convolve_all_of_many_bernoullis_is_binomial(self):
+        n = 9999
+        for p in (0.3, 0.02):
+            out = convolve_all([make_pmf([1.0 - p, p])] * n)
+            exact = binomial_pmf(BinomialParams(n, p))
+            assert tv_distance(out, exact) <= 3e-15, p
 
     def test_convolve_all_needs_a_pmf(self):
         with pytest.raises(ValueError, match="at least one pmf"):
@@ -136,11 +156,11 @@ class TestConvolve:
     @given(pmfs(), pmfs(), pmfs())
     @settings(max_examples=60, deadline=None)
     def test_commutative_associative(self, p, q, s):
-        ab = convolve(p, q)
-        ba = convolve(q, p)
+        ab = convolve_all([p, q])
+        ba = convolve_all([q, p])
         assert tv_distance(ab, ba) < 1e-12
-        left = convolve(ab, s)
-        right = convolve(p, convolve(q, s))
+        left = convolve_all([ab, s])
+        right = convolve_all([p, convolve_all([q, s])])
         assert tv_distance(left, right) < 1e-12
 
 
@@ -171,7 +191,7 @@ class TestSmoothnessFunctional:
         rng = np.random.default_rng(13)
         for _ in range(200):
             p, q = random_pmf(rng), random_pmf(rng)
-            d2 = smoothness_functional(convolve(p, q), 2)
+            d2 = smoothness_functional(convolve_all([p, q]), 2)
             assert d2 <= (smoothness_functional(p, 1)
                           * smoothness_functional(q, 1)) + 1e-12
 
@@ -236,6 +256,14 @@ class TestValidation:
     def test_min_index_must_be_an_integer(self, bad):
         with pytest.raises(ValueError, match="min_index must be an integer"):
             LatticePMF(0.0, bad, [0.5, 0.5])
+
+    @pytest.mark.parametrize("index", [2 ** 53 + 1, -2 ** 53 - 1, 10 ** 400],
+                             ids=["above", "below", "past_double"])
+    def test_min_index_within_double_integers(self, index):
+        # Positions are doubles, exact for integers up to 2**53.
+        with pytest.raises(ValueError, match="min_index must lie within"):
+            LatticePMF(0.0, index, [0.5, 0.5])
+        assert LatticePMF(0.0, -2 ** 53, [0.5, 0.5]).positions[0] == -2 ** 53
 
     def test_numpy_min_index_stored_as_int(self):
         # So that spec_to_json can write it.

@@ -42,7 +42,7 @@ class TestConfig:
         # without dividing by zero or raising to a complex power first.
         for args, match in (((0, 100.0, 1.0), "need d >= 1"),
                             ((1, 0.0, 1.0), "need lam > 0"),
-                            ((2, 100.0, -1.0), "need 0 < r")):
+                            ((2, 100.0, -1.0), "need a > 0")):
             with pytest.raises(ValueError, match=match):
                 MaternConfig.from_intensity_product(*args)
 
@@ -65,6 +65,17 @@ class TestConfig:
         assert cli.main(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["matern", "--d", "1", "--lam", "100", "--a", "-1"],
+         "need a > 0 and finite, got -1.0"),
+        (["matern", "--d", "1", "--lam", "1e-3", "--a", "1"],
+         "need 0 < r <= 1/7, got r = 1000.0 from a = 1.0, lam = 0.001"),
+        (["rates", "--app", "matern", "--a", "0", "--scales", "200", "400",
+          "800"], "need a > 0 and finite, got 0.0")])
+    def test_cli_refusal_names_a(self, capsys, argv, message):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def dense_thin(pts, r):
